@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
+import math
 import sys
 from pathlib import Path
 
@@ -24,6 +24,7 @@ from .curves import (
     densify,
     parse_series_1d,
     parse_trajectories_2d,
+    read_trajectory_2d,
 )
 from .engine import (
     QueryConfig,
@@ -76,29 +77,18 @@ def _load_dataset(args) -> Dataset:
 def _load_single_curve(path: str, fmt: str, skip_first_field: bool) -> Curve:
     if fmt == "series1d":
         return parse_series_1d(path, skip_first_field=skip_first_field)[0]
-    vertices = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            body = line.split("#", 1)[0].strip()
-            if not body:
-                continue
-            fields = body.split()
-            if len(fields) != 2:
-                raise ParseError(f"{path}:{lineno}: expected 2 fields, got {len(fields)}")
-            try:
-                vertices.append([float(fields[0]), float(fields[1])])
-            except ValueError as exc:
-                raise ParseError(f"{path}:{lineno}: bad number") from exc
-    if not vertices:
-        raise ParseError(f"{path}: no vertices")
-    return Curve(0, np.asarray(vertices))
+    return read_trajectory_2d(path, 0)
+
+
+def _check_radius(r: float) -> float:
+    if not (math.isfinite(r) and r > 0):
+        raise ConfigError(f"--radius must be finite and > 0, got {r}")
+    return r
 
 
 def _resolve_radius(args, data: Dataset) -> float:
     if args.radius is not None:
-        if args.radius <= 0:
-            raise ConfigError("--radius must be > 0")
-        return args.radius
+        return _check_radius(args.radius)
     try:
         r = percentile_radius(data, args.percentile, seed=args.seed)
     except ValueError as exc:
@@ -155,7 +145,7 @@ def cmd_self_join(args) -> int:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     truth = _read_pairs_csv(args.truth) if args.truth else None
-    report = self_join(data, params, cfg, truth=truth, threads=args.threads)
+    report = self_join(data, params, cfg, truth=truth)
     summary = _dump_json(summary_dict(report), args.no_timings)
     sys.stdout.write(summary)
     _write_text(args.out_summary, summary)
@@ -235,9 +225,7 @@ def cmd_verify_pair(args) -> int:
     p = _load_single_curve(args.file_a, args.format, args.skip_first_field)
     q = _load_single_curve(args.file_b, args.format, args.skip_first_field)
     q = Curve(1, q.vertices)
-    if args.radius <= 0:
-        raise ConfigError("--radius must be > 0")
-    out = verify(p, q, args.radius, _parse_epsilons(args.epsilons))
+    out = verify(p, q, _check_radius(args.radius), _parse_epsilons(args.epsilons))
     sys.stdout.write(f"{out.verdict.value.capitalize()} {out.stage}\n")
     return EXIT_OK
 
@@ -276,7 +264,8 @@ def build_parser() -> argparse.ArgumentParser:
     sj.add_argument("--grid-factor", type=float, default=4.0)
     sj.add_argument("--epsilons", default="10,1,0.1")
     sj.add_argument("--seed", type=int, default=0)
-    sj.add_argument("--threads", type=int, default=os.cpu_count() or 1)
+    sj.add_argument("--threads", type=int, default=1,
+                    help="no effect; kept for compatibility")
     sj.add_argument("--slack", choices=("none", "longest-edge"), default="none")
     sj.add_argument("--truth", default=None, help="ground-truth pairs CSV")
     sj.add_argument("--out-summary", default=None)

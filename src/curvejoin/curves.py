@@ -32,6 +32,7 @@ __all__ = [
     "longest_edge",
     "parse_series_1d",
     "parse_trajectories_2d",
+    "read_trajectory_2d",
     "simplify",
     "write_series_1d",
     "write_trajectories_2d",
@@ -76,7 +77,7 @@ class Curve:
 
 @dataclass(frozen=True)
 class Dataset:
-    """A list of curves sharing one dimension, with ids dense in [0, n)."""
+    """Curves sharing one dimension, with ids dense in [0, n), stored in id order."""
 
     curves: list[Curve]
     d: int = field(init=False)
@@ -84,13 +85,14 @@ class Dataset:
     def __post_init__(self):
         if not self.curves:
             raise ValueError("dataset must contain at least one curve")
-        d = self.curves[0].dim
-        for c in self.curves:
+        curves = sorted(self.curves, key=lambda c: c.id)
+        d = curves[0].dim
+        for c in curves:
             if c.dim != d:
                 raise ValueError(f"curve {c.id} has dimension {c.dim}, expected {d}")
-        ids = [c.id for c in self.curves]
-        if sorted(ids) != list(range(len(ids))):
+        if [c.id for c in curves] != list(range(len(curves))):
             raise ValueError("curve ids must be unique and dense in [0, n)")
+        object.__setattr__(self, "curves", curves)
         object.__setattr__(self, "d", d)
 
     @property
@@ -101,13 +103,7 @@ class Dataset:
         return iter(self.curves)
 
     def __getitem__(self, curve_id: int) -> Curve:
-        c = self.curves[curve_id]
-        if c.id != curve_id:  # curves may be stored out of id order
-            for c in self.curves:
-                if c.id == curve_id:
-                    return c
-            raise KeyError(curve_id)
-        return c
+        return self.curves[curve_id]
 
 
 @dataclass(frozen=True)
@@ -222,11 +218,41 @@ def parse_series_1d(path: str | Path, skip_first_field: bool = False) -> Dataset
     return Dataset(curves)
 
 
+def read_trajectory_2d(path: str | Path, cid: int) -> Curve:
+    """Load one trajectory file: an "x y" pair per line, '#' lines ignored.
+
+    Raises:
+        ParseError: malformed or non-finite coordinate pair, or an empty
+            trajectory; the message names the offending file/line.
+    """
+    path = Path(path)
+    rows: list[list[float]] = []
+    with path.open("r", encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            fields = _FIELD_SPLIT.split(line)
+            if len(fields) != 2:
+                raise ParseError(
+                    f"{path}:{lineno}: expected 'x y' pair, got {len(fields)} fields"
+                )
+            rows.append(
+                [
+                    _parse_float(fields[0], f"{path}:{lineno}:1"),
+                    _parse_float(fields[1], f"{path}:{lineno}:2"),
+                ]
+            )
+    if not rows:
+        raise ParseError(f"{path}: empty trajectory")
+    return Curve(cid, np.array(rows, dtype=np.float64))
+
+
 def parse_trajectories_2d(list_path: str | Path) -> Dataset:
     """Load 2-D trajectories named by a list file, one path per line.
 
     Relative trajectory paths are resolved against the list file's
-    directory. Lines starting with '#' inside trajectory files are ignored.
+    directory; each file is read by read_trajectory_2d.
 
     Raises:
         ParseError: missing file, malformed coordinate pair, or an empty
@@ -245,26 +271,7 @@ def parse_trajectories_2d(list_path: str | Path) -> Dataset:
             tpath = base / tpath
         if not tpath.is_file():
             raise ParseError(f"{list_path}: trajectory file not found: {tpath}")
-        rows: list[list[float]] = []
-        with tpath.open("r", encoding="utf-8") as fh:
-            for lineno, raw in enumerate(fh, start=1):
-                line = raw.strip()
-                if not line or line.startswith("#"):
-                    continue
-                fields = _FIELD_SPLIT.split(line)
-                if len(fields) != 2:
-                    raise ParseError(
-                        f"{tpath}:{lineno}: expected 'x y' pair, got {len(fields)} fields"
-                    )
-                rows.append(
-                    [
-                        _parse_float(fields[0], f"{tpath}:{lineno}:1"),
-                        _parse_float(fields[1], f"{tpath}:{lineno}:2"),
-                    ]
-                )
-        if not rows:
-            raise ParseError(f"{tpath}: empty trajectory")
-        curves.append(Curve(len(curves), np.array(rows, dtype=np.float64)))
+        curves.append(read_trajectory_2d(tpath, len(curves)))
     return Dataset(curves)
 
 
@@ -273,7 +280,7 @@ def write_series_1d(dataset: Dataset, path: str | Path) -> None:
     if dataset.d != 1:
         raise ValueError("series format holds 1-D curves only")
     with Path(path).open("w", encoding="utf-8") as fh:
-        for c in sorted(dataset.curves, key=lambda c: c.id):
+        for c in dataset:
             fh.write(",".join(repr(float(x)) for x in c.vertices[:, 0]))
             fh.write("\n")
 
@@ -285,7 +292,7 @@ def write_trajectories_2d(dataset: Dataset, out_dir: str | Path, list_name: str 
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     names = []
-    for c in sorted(dataset.curves, key=lambda c: c.id):
+    for c in dataset:
         name = f"curve_{c.id:05d}.txt"
         with (out_dir / name).open("w", encoding="utf-8") as fh:
             for x, y in c.vertices:

@@ -16,7 +16,6 @@ import csv
 import io
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -120,7 +119,6 @@ def range_query(
     q: Curve,
     cfg: QueryConfig,
     exclude_id: int | None = None,
-    stats: dict | None = None,
 ) -> RangeQueryResult:
     """Scored candidates with the tau-fraction verified, cheapest first.
 
@@ -134,7 +132,7 @@ def range_query(
             f"index grid {idx.params.delta} does not match configuration "
             f"grid {expected}; rebuild the index for this config"
         )
-    cands = query_scores(idx, q, stats)
+    cands = query_scores(idx, q)
     if exclude_id is not None:
         cands = [s for s in cands if s.curve_id != exclude_id]
     nsel = math.ceil(cfg.tau * len(cands))
@@ -225,13 +223,12 @@ def self_join(
     params: LshParams,
     cfg: QueryConfig,
     truth=None,
-    threads: int = 1,
 ) -> JoinReport:
     """Range-query every curve against the rest and merge unordered pairs.
 
     A pair is reported when at least one side kept it and neither side
     verified it Far; with tau = 1 every reported pair carries a Near
-    certificate. Decisions are independent of the thread count.
+    certificate.
     """
     t0 = time.perf_counter()
     idx = build_index(dataset, params)
@@ -243,12 +240,7 @@ def self_join(
         return QueryRecord(c.id, res, time.perf_counter() - tq)
 
     t1 = time.perf_counter()
-    curves = sorted(dataset, key=lambda c: c.id)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            records = tuple(pool.map(run, curves))
-    else:
-        records = tuple(run(c) for c in curves)
+    records = tuple(run(c) for c in dataset)
     query_seconds = time.perf_counter() - t1
 
     decided: dict[tuple[int, int], tuple[str, str]] = {}

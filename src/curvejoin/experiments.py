@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curves import Curve
-from .engine import JoinReport, stage_histogram
+from .engine import JoinReport
 from .frechet import discrete_frechet
 from .lsh import GridHash, Signature, snap_signature
 
@@ -37,7 +37,6 @@ __all__ = [
     "collision_probability",
     "noisy_collision_probability",
     "score_histogram",
-    "stage_breakdown",
 ]
 
 
@@ -247,8 +246,3 @@ def score_histogram(report: JoinReport, truth, bins: int = 20) -> ScoreHistogram
     return ScoreHistogram(
         tuple(edges), tuple(tp_frac), tuple(fp_frac), tuple(tp), tuple(fp)
     )
-
-
-def stage_breakdown(report: JoinReport) -> dict:
-    """Pairs per deciding stage; sums to n*(n-1)/2 for a self join."""
-    return stage_histogram(report)

@@ -28,7 +28,6 @@ __all__ = [
     "bbox_filter",
     "decide_continuous",
     "discrete_frechet",
-    "discrete_frechet_brute",
     "endpoints_filter",
     "equal_time_upper",
     "estimate_continuous",
@@ -95,35 +94,6 @@ def discrete_frechet(p: Curve, q: Curve) -> float:
     return float(row[n - 1])
 
 
-def discrete_frechet_brute(p: Curve, q: Curve) -> float:
-    """Oracle: minimize the max pair distance over all monotone traversals.
-
-    Enumerates traversals recursively without memoization, so it is
-    exponential; guarded to |p|*|q| <= 64.
-    """
-    _check_dims(p, q)
-    m, n = len(p), len(q)
-    if m * n > 64:
-        raise ValueError(f"brute force guard: |p|*|q| = {m * n} > 64")
-    diff = p.vertices[:, None, :] - q.vertices[None, :, :]
-    dist = np.sqrt((diff * diff).sum(axis=2))
-
-    def walk(i: int, j: int) -> float:
-        here = dist[i, j]
-        if i == m - 1 and j == n - 1:
-            return here
-        best = math.inf
-        if i + 1 < m and j + 1 < n:
-            best = walk(i + 1, j + 1)
-        if i + 1 < m:
-            best = min(best, walk(i + 1, j))
-        if j + 1 < n:
-            best = min(best, walk(i, j + 1))
-        return max(here, best)
-
-    return float(walk(0, 0))
-
-
 # ---------------------------------------------------------------------------
 # Continuous Frechet decision (free-space diagram reachability)
 
@@ -163,13 +133,6 @@ def _ball_windows(
     return lo, hi
 
 
-def _free_intervals_point_vs_edges(
-    a: np.ndarray, starts: np.ndarray, deltas: np.ndarray, r: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per edge, the parameter interval where dist(a, edge(t)) <= r."""
-    return _ball_windows(starts - a, deltas, r)
-
-
 def _point_curve_within(a: np.ndarray, Q: np.ndarray, r: float) -> bool:
     # max distance from a point to a polyline is attained at a vertex
     diff = Q - a
@@ -201,7 +164,7 @@ def decide_continuous(p: Curve, q: Curve, r: float) -> bool:
 
     # Free intervals on the current horizontal grid line (p-parameter = i):
     # per q-edge j, the s-range where vertex P[i] is within r of the edge.
-    hlo, hhi = _free_intervals_point_vs_edges(P[0], q_starts, q_deltas, r)
+    hlo, hhi = _ball_windows(q_starts - P[0], q_deltas, r)
 
     # Entry points (smallest reachable parameter) on that line; None = blocked.
     entry: list[float | None] = [None] * (n - 1)
@@ -229,7 +192,7 @@ def decide_continuous(p: Curve, q: Curve, r: float) -> bool:
             else:
                 leftline = None
 
-        hlo2, hhi2 = _free_intervals_point_vs_edges(P[i + 1], q_starts, q_deltas, r)
+        hlo2, hhi2 = _ball_windows(q_starts - P[i + 1], q_deltas, r)
 
         left: float | None = leftline
         new_entry: list[float | None] = [None] * (n - 1)

@@ -7,7 +7,8 @@ into a 32-bit key by a streaming polynomial accumulator finished with one
 multiply-shift step. The index keeps L = L' * L' tables but evaluates only
 2 * L' signatures per curve: table (i, j) pairs the i-th hash of one group
 with the j-th hash of the other, so per-curve grid work drops from k * L
-to k * sqrt(L).
+to k * sqrt(L). The index is one (n, L) key matrix; queries search one
+sorted run of (table, key) words derived from it.
 
 Everything is derived deterministically from a 64-bit seed via
 counter-based PRNG streams, one per (group, table slot, concatenation
@@ -245,17 +246,33 @@ def dataset_fingerprint(dataset: Dataset) -> int:
     return int.from_bytes(h.digest(), "little")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LshIndex:
-    """Immutable L-table index; table (i, j) lives at index i * l_prime + j."""
+    """Immutable L-table index over an (n, L) uint32 key matrix.
+
+    keys[c, i * l_prime + j] is curve c's key in table (i, j). The grids
+    and the hasher are re-derived from params, and the sorted run of
+    (table << 32) | key words, with the curve id of each word, from keys.
+    """
 
     params: LshParams
-    lambda1: tuple
-    lambda2: tuple
-    hasher: SequenceHasher
-    tables: tuple
+    keys: np.ndarray
     fingerprint: int
     grid_evals: int
+    _grids: tuple = field(init=False, repr=False)
+    _run: np.ndarray = field(init=False, repr=False)
+    _ids: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        words = (_table_words(self.params.L) | self.keys).ravel()
+        order = np.argsort(words, kind="stable")
+        object.__setattr__(self, "_grids", _draw_grids(self.params))
+        object.__setattr__(self, "_run", words[order])
+        object.__setattr__(self, "_ids", order // self.params.L)
+
+
+def _table_words(L: int) -> np.ndarray:
+    return np.arange(L, dtype=np.uint64) << 32
 
 
 @dataclass(frozen=True)
@@ -267,45 +284,29 @@ class ScoredCandidate:
     score: float
 
 
-def _table_keys(lambda1, lambda2, hasher: SequenceHasher, p: Curve,
-                stats: dict | None = None) -> list[int]:
+def _table_keys(grids, p: Curve, stats: dict | None = None) -> np.ndarray:
     """The curve's key in each of the L tables (2 * l_prime snaps total)."""
-    states1 = [
-        hasher.fold_state(snap_signature(g, p, stats)) for g in lambda1
-    ]
-    states2 = [
-        hasher.fold_state(snap_signature(g, p, stats), lead_separator=True)
-        for g in lambda2
-    ]
-    keys = []
-    for s1 in states1:
-        for s2 in states2:
-            keys.append(hasher.finalize(hasher.combine(s1, s2)[0]))
-    return keys
+    lambda1, lambda2, hasher = grids
+    s1 = [hasher.fold_state(snap_signature(g, p, stats)) for g in lambda1]
+    s2 = [hasher.fold_state(snap_signature(g, p, stats), lead_separator=True) for g in lambda2]
+    acc1, pow1 = np.array(s1, dtype=np.uint64).T
+    acc2, pow2 = np.array(s2, dtype=np.uint64).T
+    acc, _ = hasher.combine((acc1[:, None], pow1[:, None]), (acc2[None, :], pow2[None, :]))
+    return hasher.finalize(acc).astype("<u4").ravel()
 
 
 def build_index(dataset: Dataset, params: LshParams) -> LshIndex:
     """Hash every curve into the L tables; deterministic given the seed."""
     if params.d != dataset.d:
         raise ValueError(f"params dimension {params.d} != dataset dimension {dataset.d}")
-    lambda1, lambda2, hasher = _draw_grids(params)
-    tables: list[dict] = [dict() for _ in range(params.L)]
+    grids = _draw_grids(params)
     stats = {"grid_evals": 0}
-    for c in dataset:
-        for t, key in enumerate(_table_keys(lambda1, lambda2, hasher, c, stats)):
-            tables[t].setdefault(key, []).append(c.id)
-    return LshIndex(
-        params,
-        lambda1,
-        lambda2,
-        hasher,
-        tuple(tables),
-        dataset_fingerprint(dataset),
-        stats["grid_evals"],
-    )
+    keys = np.array([_table_keys(grids, c, stats) for c in dataset], dtype="<u4")
+    keys.setflags(write=False)
+    return LshIndex(params, keys, dataset_fingerprint(dataset), stats["grid_evals"])
 
 
-def query_scores(idx: LshIndex, q: Curve, stats: dict | None = None) -> list[ScoredCandidate]:
+def query_scores(idx: LshIndex, q: Curve) -> list[ScoredCandidate]:
     """All curves colliding with q in at least one table, cheapest first.
 
     Scores are collision fractions in (0, 1]; the result is sorted by
@@ -313,85 +314,56 @@ def query_scores(idx: LshIndex, q: Curve, stats: dict | None = None) -> list[Sco
     """
     if q.dim != idx.params.d:
         raise ValueError(f"dimension mismatch: query {q.dim}, index {idx.params.d}")
-    counts: dict[int, int] = {}
-    keys = _table_keys(idx.lambda1, idx.lambda2, idx.hasher, q, stats)
-    for t, key in enumerate(keys):
-        for cid in idx.tables[t].get(key, ()):
-            counts[cid] = counts.get(cid, 0) + 1
     L = idx.params.L
-    return [
-        ScoredCandidate(cid, n, n / L)
-        for cid, n in sorted(counts.items(), key=lambda kv: (kv[1], kv[0]))
-    ]
+    words = _table_words(L) | _table_keys(idx._grids, q)
+    lo = np.searchsorted(idx._run, words, "left")
+    sizes = np.searchsorted(idx._run, words, "right") - lo
+    # positions lo[t], ..., lo[t] + sizes[t] - 1 of every table t, in one array
+    pos = np.arange(sizes.sum()) + np.repeat(lo - np.cumsum(sizes) + sizes, sizes)
+    counts = np.bincount(idx._ids[pos], minlength=len(idx.keys))
+    cids = np.flatnonzero(counts)
+    cids = cids[np.argsort(counts[cids], kind="stable")]
+    return [ScoredCandidate(cid, n, n / L) for cid, n in zip(cids.tolist(), counts[cids].tolist())]
 
 
 # ---------------------------------------------------------------------------
-# Binary index files
+# Binary index files: magic, version, header, then the raw (n, L) key matrix
 
 _MAGIC = b"FRSH"
-_VERSION = b"1"
-_HEADER = struct.Struct("<dIIIIQQ")
+_VERSION = b"2"
+_HEADER = struct.Struct("<dIIIIQQQ")
+_KEYS_AT = len(_MAGIC) + len(_VERSION) + _HEADER.size
 
 
 def save_index(idx: LshIndex, path) -> None:
-    """Write the index: magic, params, fingerprint, then the L tables."""
+    """Write the index: magic, version, params, fingerprint, n, then the keys."""
     p = idx.params
-    out = bytearray()
-    out += _MAGIC + _VERSION
-    out += _HEADER.pack(p.delta, p.k, p.L, p.l_prime, p.d, p.seed, idx.fingerprint)
-    for table in idx.tables:
-        out += struct.pack("<I", len(table))
-        for key in sorted(table):
-            ids = table[key]
-            out += struct.pack("<II", key, len(ids))
-            out += struct.pack(f"<{len(ids)}I", *ids)
-    Path(path).write_bytes(bytes(out))
-
-
-class _Reader:
-    def __init__(self, data: bytes, path):
-        self.data = data
-        self.off = 0
-        self.path = path
-
-    def take(self, fmt: str):
-        s = struct.Struct(fmt)
-        if self.off + s.size > len(self.data):
-            raise IndexFormatError(f"{self.path}: truncated index file")
-        vals = s.unpack_from(self.data, self.off)
-        self.off += s.size
-        return vals
+    header = _HEADER.pack(p.delta, p.k, p.L, p.l_prime, p.d, p.seed, idx.fingerprint, len(idx.keys))
+    Path(path).write_bytes(_MAGIC + _VERSION + header + idx.keys.tobytes())
 
 
 def load_index(path, dataset: Dataset) -> LshIndex:
     """Read an index and re-derive its grids; refuses stale or foreign files."""
     data = Path(path).read_bytes()
-    rd = _Reader(data, path)
-    (magic,) = rd.take("<4s")
-    if magic != _MAGIC:
+    if data[:4] != _MAGIC:
         raise IndexFormatError(f"{path}: not an index file (bad magic)")
-    (version,) = rd.take("<1s")
-    if version != _VERSION:
-        raise IndexFormatError(f"{path}: unsupported index version {version!r}")
-    delta, k, L, l_prime, d, seed, fingerprint = rd.take("<dIIIIQQ")
+    if data[4:5] != _VERSION:
+        raise IndexFormatError(f"{path}: unsupported index version {data[4:5]!r}")
+    if len(data) < _KEYS_AT:
+        raise IndexFormatError(f"{path}: truncated index file")
+    delta, k, L, l_prime, d, seed, fingerprint, n = _HEADER.unpack_from(data, 5)
     params = LshParams(delta, k, L, d, seed)
     if params.L != L or params.l_prime != l_prime:
         raise IndexFormatError(f"{path}: inconsistent table counts in header")
-    actual = dataset_fingerprint(dataset)
-    if actual != fingerprint:
+    if len(data) != _KEYS_AT + 4 * n * L:
         raise IndexFormatError(
-            f"{path}: dataset fingerprint mismatch "
-            f"(index {fingerprint:#018x}, data {actual:#018x})"
+            f"{path}: {len(data)} bytes, expected {_KEYS_AT + 4 * n * L} for {n} curves x {L} tables"
         )
-    tables = []
-    for _ in range(L):
-        (nkeys,) = rd.take("<I")
-        table = {}
-        for _ in range(nkeys):
-            key, nids = rd.take("<II")
-            table[key] = list(rd.take(f"<{nids}I"))
-        tables.append(table)
-    if rd.off != len(data):
-        raise IndexFormatError(f"{path}: trailing bytes after table data")
-    lambda1, lambda2, hasher = _draw_grids(params)
-    return LshIndex(params, lambda1, lambda2, hasher, tuple(tables), fingerprint, 0)
+    actual = dataset_fingerprint(dataset)
+    if actual != fingerprint or n != dataset.n:
+        raise IndexFormatError(
+            f"{path}: dataset fingerprint mismatch (index {fingerprint:#018x} "
+            f"over {n} curves, data {actual:#018x} over {dataset.n})"
+        )
+    keys = np.frombuffer(data, dtype="<u4", offset=_KEYS_AT).reshape(n, L)
+    return LshIndex(params, keys, fingerprint, 0)

@@ -6,7 +6,8 @@ import math
 
 import numpy as np
 
-from curvejoin import Curve, Dataset
+from curvejoin import Curve, Dataset, ScoredCandidate, snap_signature
+from curvejoin.lsh import _draw_grids
 
 
 def curve1(cid: int, values) -> Curve:
@@ -119,3 +120,66 @@ def clustered_dataset(rng, clusters: int, per_cluster: int, d: int, r: float,
             curves.append(Curve(cid, vertices))
             cid += 1
     return Dataset(curves), truth
+
+
+def discrete_frechet_brute(p: Curve, q: Curve) -> float:
+    """Oracle: minimize the max pair distance over all monotone traversals.
+
+    Enumerates traversals recursively without memoization, so it is
+    exponential; guarded to |p|*|q| <= 64.
+    """
+    if p.dim != q.dim:
+        raise ValueError(f"dimension mismatch: {p.dim} vs {q.dim}")
+    m, n = len(p), len(q)
+    if m * n > 64:
+        raise ValueError(f"brute force guard: |p|*|q| = {m * n} > 64")
+    diff = p.vertices[:, None, :] - q.vertices[None, :, :]
+    dist = np.sqrt((diff * diff).sum(axis=2))
+
+    def walk(i: int, j: int) -> float:
+        here = dist[i, j]
+        if i == m - 1 and j == n - 1:
+            return here
+        best = math.inf
+        if i + 1 < m and j + 1 < n:
+            best = walk(i + 1, j + 1)
+        if i + 1 < m:
+            best = min(best, walk(i + 1, j))
+        if j + 1 < n:
+            best = min(best, walk(i, j + 1))
+        return max(here, best)
+
+    return float(walk(0, 0))
+
+
+class DictIndex:
+    """Oracle for the key-matrix index: one dict of id lists per table.
+
+    Keys come from the Python-int tensored combine, one (i, j) pair at a
+    time, and scoring counts collisions with dict lookups.
+    """
+
+    def __init__(self, dataset: Dataset, params):
+        self.params = params
+        self.grids = _draw_grids(params)
+        self.tables = [dict() for _ in range(params.L)]
+        for c in dataset:
+            for t, key in enumerate(self.keys(c)):
+                self.tables[t].setdefault(key, []).append(c.id)
+
+    def keys(self, p: Curve) -> list[int]:
+        lambda1, lambda2, hasher = self.grids
+        states1 = [hasher.fold_state(snap_signature(g, p)) for g in lambda1]
+        states2 = [hasher.fold_state(snap_signature(g, p), lead_separator=True)
+                   for g in lambda2]
+        return [hasher.finalize(hasher.combine(s1, s2)[0])
+                for s1 in states1 for s2 in states2]
+
+    def query_scores(self, q: Curve) -> list:
+        counts: dict[int, int] = {}
+        for t, key in enumerate(self.keys(q)):
+            for cid in self.tables[t].get(key, ()):
+                counts[cid] = counts.get(cid, 0) + 1
+        L = self.params.L
+        return [ScoredCandidate(cid, n, n / L)
+                for cid, n in sorted(counts.items(), key=lambda kv: (kv[1], kv[0]))]

@@ -23,7 +23,6 @@ from curvejoin.frechet import (
     bbox_filter,
     decide_continuous,
     discrete_frechet,
-    discrete_frechet_brute,
     endpoints_filter,
     equal_time_upper,
     greedy_upper,
@@ -41,8 +40,8 @@ from curvejoin.lsh import (
     save_index,
 )
 
-from helpers import clustered_dataset, curve1, dataset_of, random_pair, \
-    random_walk_curve
+from helpers import clustered_dataset, curve1, dataset_of, \
+    discrete_frechet_brute, random_pair, random_walk_curve
 
 
 def report(num: int, desc: str, ok: bool, detail: str = "") -> None:

@@ -301,6 +301,16 @@ class TestVerifyPairCmd:
         assert code == 3
         assert "a.txt" in err
 
+    def test_nonfinite_trajectory_exits_3(self, tmp_path, capsys):
+        a = tmp_path / "a.txt"
+        b = tmp_path / "b.txt"
+        a.write_text("0.0 0.0\nnan 1.0\n")
+        b.write_text("0.0 0.0\n1.0 1.0\n")
+        code, _, err = run(["verify-pair", str(a), str(b), "--radius", "1",
+                            "--format", "traj2d"], capsys)
+        assert code == 3
+        assert "a.txt" in err
+
     def test_negative_radius_exits_2(self, tmp_path, capsys):
         a = tmp_path / "a.txt"
         a.write_text("0.0,1.0\n")
@@ -322,3 +332,14 @@ class TestTrajectoryDataset:
         assert code == 0
         assert json.loads(out)["n_curves"] == 6
         assert read_pairs(pairs)
+
+
+@pytest.mark.parametrize("radius", ["nan", "inf", "-1", "0"])
+@pytest.mark.parametrize("command", ["self-join", "exact-join", "verify-pair"])
+def test_bad_radius_exits_2(command, radius, series_path, capsys):
+    if command == "verify-pair":
+        argv = [command, series_path, series_path]
+    else:
+        argv = [command, "--data", series_path]
+    code, _, err = run(argv + ["--radius", radius], capsys)
+    assert code == 2, err

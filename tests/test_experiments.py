@@ -8,14 +8,19 @@ import numpy as np
 import pytest
 
 from curvejoin import Curve
-from curvejoin.engine import QueryConfig, exact_join, make_params, self_join
+from curvejoin.engine import (
+    QueryConfig,
+    exact_join,
+    make_params,
+    self_join,
+    stage_histogram,
+)
 from curvejoin.experiments import (
     bounds_csv,
     bounds_report,
     collision_probability,
     noisy_collision_probability,
     score_histogram,
-    stage_breakdown,
 )
 from curvejoin.frechet import discrete_frechet
 
@@ -221,7 +226,7 @@ class TestScoreHistogram:
 class TestStageBreakdown:
     def test_zero_tau_only_unverified_buckets(self):
         report, _ = joined_clusters(tau=0.0)
-        hist = stage_breakdown(report)
+        hist = stage_histogram(report)
         assert set(hist) <= {"lsh-reject", "unverified-positive"}
         assert sum(hist.values()) == report.total_pairs
 
@@ -231,13 +236,13 @@ class TestStageBreakdown:
         cfg = QueryConfig(r=0.1)
         params = make_params(data, cfg, k=1, L=16, seed=2)
         report = self_join(data, params, cfg)
-        hist = stage_breakdown(report)
+        hist = stage_histogram(report)
         assert report.pairs == ()
         assert set(hist) - {"lsh-reject"} == {"endpoints"}
 
     def test_reconciles_with_report_totals(self):
         report, _ = joined_clusters(tau=0.5)
-        hist = stage_breakdown(report)
+        hist = stage_histogram(report)
         assert sum(hist.values()) == report.total_pairs
         assert hist["lsh-reject"] == report.total_pairs - len(report.decided)
         assert hist.get("unverified-positive", 0) == sum(

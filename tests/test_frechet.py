@@ -11,7 +11,6 @@ from curvejoin import (
     decide_continuous,
     densify,
     discrete_frechet,
-    discrete_frechet_brute,
     endpoints_filter,
     equal_time_upper,
     estimate_continuous,
@@ -23,7 +22,14 @@ from curvejoin import (
     verify_heur,
     verify_simpl,
 )
-from helpers import assert_valid_witness, curve, curve1, random_pair, random_walk_curve
+from helpers import (
+    assert_valid_witness,
+    curve,
+    curve1,
+    discrete_frechet_brute,
+    random_pair,
+    random_walk_curve,
+)
 
 
 class TestDiscreteFrechet:

@@ -17,7 +17,7 @@ from curvejoin import (
     save_index,
     snap_signature,
 )
-from helpers import curve, curve1, perturbed_copy, random_walk_curve
+from helpers import DictIndex, curve, curve1, perturbed_copy, random_walk_curve
 
 
 class TestLshParams:
@@ -215,15 +215,14 @@ class TestIndex:
         par = LshParams(2.0, 2, 16, 1, seed=99)
         a = build_index(ds, par)
         b = build_index(ds, par)
-        assert a.tables == b.tables
+        assert np.array_equal(a.keys, b.keys)
         assert a.fingerprint == b.fingerprint
 
     def test_single_curve_fills_every_table(self):
         rng = np.random.default_rng(70)
         ds = Dataset([random_walk_curve(rng, 0, 6, 1)])
         idx = build_index(ds, LshParams(1.0, 2, 9, 1, seed=1))
-        for table in idx.tables:
-            assert sum(len(v) for v in table.values()) == 1
+        assert idx.keys.shape == (1, idx.params.L)
 
     def test_grid_eval_count_is_k_times_sqrt_L(self):
         rng = np.random.default_rng(71)
@@ -293,9 +292,31 @@ class TestIndex:
         ds = _tiny_dataset(rng, n=6)
         idx = build_index(ds, LshParams(1.0, 1, 16, 1, seed=21))
         lp = idx.params.l_prime
-        for i in range(lp):
-            row = [idx.tables[i * lp + j] for j in range(lp)]
-            assert all(t == row[0] for t in row)
+        by_slot = idx.keys.reshape(ds.n, lp, lp)
+        assert (by_slot == by_slot[:, :, :1]).all()
+
+
+class TestKeyMatrixMatchesDictIndex:
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_keys_and_scores_identical(self, k, d):
+        rng = np.random.default_rng(100 * k + d)
+        for L in (2, 10, 20):
+            # a single-vertex curve, and near copies so that tables share keys
+            base = [random_walk_curve(rng, i, int(rng.integers(1, 7)) if i else 1, d,
+                                      step=0.5) for i in range(8)]
+            copies = [perturbed_copy(rng, c, 8 + c.id, amp=0.1) for c in base]
+            ds = Dataset(base + copies)
+            par = LshParams(2.0, k, L, d, seed=int(rng.integers(1 << 63)))
+            idx = build_index(ds, par)
+            oracle = DictIndex(ds, par)
+            assert idx.keys.shape == (ds.n, par.L)
+            for c in ds:
+                assert idx.keys[c.id].tolist() == oracle.keys(c)
+            queries = list(ds) + [random_walk_curve(rng, 0, int(rng.integers(1, 7)), d)
+                                  for _ in range(5)]
+            for q in queries:
+                assert query_scores(idx, q) == oracle.query_scores(q)
 
 
 class TestIndexFiles:
@@ -310,7 +331,7 @@ class TestIndexFiles:
         path = tmp_path / "index.bin"
         save_index(idx, path)
         loaded = load_index(path, ds)
-        assert loaded.tables == idx.tables
+        assert np.array_equal(loaded.keys, idx.keys)
         assert loaded.params == idx.params
         for _ in range(100):
             q = random_walk_curve(rng, 0, int(rng.integers(1, 12)), 1)
@@ -347,10 +368,21 @@ class TestIndexFiles:
             load_index(path, ds)
         data = bytearray((tmp_path / "index.bin").read_bytes())
         save_index(idx, path)
-        data = bytearray(path.read_bytes())
-        data[4] = ord("9")
-        path.write_bytes(bytes(data))
-        with pytest.raises(IndexFormatError, match="version"):
+        # "1" is the retired dict-of-tables format, which is not read
+        for version in "19":
+            data = bytearray(path.read_bytes())
+            data[4] = ord(version)
+            path.with_name("old.bin").write_bytes(bytes(data))
+            with pytest.raises(IndexFormatError, match="version"):
+                load_index(path.with_name("old.bin"), ds)
+
+    def test_trailing_byte_rejected(self, tmp_path):
+        rng = np.random.default_rng(84)
+        ds, idx = self._index(rng)
+        path = tmp_path / "index.bin"
+        save_index(idx, path)
+        path.write_bytes(path.read_bytes() + b"\0")
+        with pytest.raises(IndexFormatError):
             load_index(path, ds)
 
     def test_fingerprint_mismatch(self, tmp_path):
