@@ -38,7 +38,7 @@ from .engine import (
     summary_dict,
 )
 from .experiments import bounds_csv, bounds_report
-from .frechet import verify
+from .frechet import check_eps_list, verify
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -55,10 +55,10 @@ def _parse_epsilons(text: str) -> tuple:
         eps = tuple(float(tok) for tok in text.split(",") if tok.strip())
     except ValueError as exc:
         raise ConfigError(f"bad --epsilons value: {text!r}") from exc
-    if not eps:
-        raise ConfigError("--epsilons must list at least one value")
-    if any(b >= a for a, b in zip(eps, eps[1:])):
-        raise ConfigError("--epsilons must be strictly decreasing")
+    try:
+        check_eps_list(eps)
+    except ValueError as exc:
+        raise ConfigError(f"bad --epsilons: {exc}") from exc
     return eps
 
 
@@ -196,14 +196,17 @@ def cmd_collision_prob(args) -> int:
     data = _load_dataset(args)
     if data.n < 2:
         raise ConfigError("need at least 2 curves")
-    if args.delta <= 0:
-        raise ConfigError("--delta must be > 0")
+    if not (0 < args.delta < math.inf):
+        raise ConfigError("--delta must be finite and > 0")
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(args.seed)))
     pairs = []
     for _ in range(args.sample):
         a, b = rng.choice(data.n, size=2, replace=False)
         pairs.append((data[int(a)], data[int(b)]))
-    rows = bounds_report(pairs, args.delta, args.k, args.trials, args.seed)
+    try:
+        rows = bounds_report(pairs, args.delta, args.k, args.trials, args.seed)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     text = bounds_csv(rows)
     _write_text(args.out, text)
     if args.out is None:

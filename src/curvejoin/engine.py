@@ -21,7 +21,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curves import Curve, Dataset, longest_edge
-from .frechet import DEFAULT_EPS_LIST, Verdict, estimate_continuous, verify
+from .frechet import (
+    DEFAULT_EPS_LIST,
+    Verdict,
+    check_eps_list,
+    estimate_continuous,
+    verify,
+)
 from .lsh import LshIndex, LshParams, build_index, query_scores
 
 __all__ = [
@@ -63,15 +69,17 @@ class QueryConfig:
     grid_factor: float = 4.0
 
     def __post_init__(self):
-        if self.r <= 0:
-            raise ValueError("r must be > 0")
+        if not (0 < self.r < math.inf):
+            raise ValueError(f"r must be finite and > 0, got {self.r}")
         if not 0.0 <= self.tau <= 1.0:
             raise ValueError("tau must be in [0, 1]")
-        if self.grid_factor <= 0:
-            raise ValueError("grid_factor must be > 0")
+        if not (0 < self.grid_factor < math.inf):
+            raise ValueError(
+                f"grid_factor must be finite and > 0, got {self.grid_factor}")
         if self.radius_slack not in RADIUS_SLACK_MODES:
             raise ValueError(f"radius_slack must be one of {RADIUS_SLACK_MODES}")
         object.__setattr__(self, "eps_list", tuple(self.eps_list))
+        check_eps_list(self.eps_list)
 
     def lsh_radius(self, dataset: Dataset, query: Curve | None = None) -> float:
         if self.radius_slack == "none":
@@ -280,8 +288,8 @@ def self_join(
 
 def exact_join(dataset: Dataset, r: float, eps_list=DEFAULT_EPS_LIST) -> tuple:
     """All unordered pairs within continuous Frechet distance r (ground truth)."""
-    if r <= 0:
-        raise ValueError("r must be > 0")
+    if not (0 < r < math.inf):
+        raise ValueError(f"r must be finite and > 0, got {r}")
     out = []
     for i in range(dataset.n):
         p = dataset[i]

@@ -86,8 +86,8 @@ def collision_probability(
         raise ValueError(f"dimension mismatch: {p.dim} vs {q.dim}")
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    if delta <= 0 or k < 1:
-        raise ValueError("need delta > 0 and k >= 1")
+    if not (0 < delta < math.inf) or k < 1:
+        raise ValueError("need a finite delta > 0 and k >= 1")
     rng = _rng(seed)
     hits = 0
     for _ in range(trials):
@@ -117,8 +117,8 @@ def noisy_collision_probability(
         raise ValueError("the noisy scheme is defined for 1-d curves only")
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    if delta <= 0:
-        raise ValueError("delta must be > 0")
+    if not (0 < delta < math.inf):
+        raise ValueError("delta must be finite and > 0")
     rng = _rng(seed)
     half = delta / 2.0
     hits = 0

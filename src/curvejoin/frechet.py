@@ -98,39 +98,60 @@ def discrete_frechet(p: Curve, q: Curve) -> float:
 # Continuous Frechet decision (free-space diagram reachability)
 
 
-def _ball_windows(
-    w: np.ndarray, deltas: np.ndarray, r: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per row, the parameter window where ||w + t*delta|| <= r.
+# Rows of free-space windows computed per kernel call: working memory is
+# O(_BLOCK * min(|p|, |q|)), and a Far decision wastes at most one block.
+_BLOCK = 64
+# Columns read per step once a row's sweep runs past its last reachable entry.
+_CHUNK = 16
 
-    Returns (lo, hi) clipped to [0, 1]; empty windows have lo > hi. The
-    discriminant is evaluated as r^2*||delta||^2 minus the squared
-    rejection of w (a sum of squared 2x2 minors); the naive b^2 - 4ac
-    form cancels catastrophically when w is nearly parallel to delta and
-    r is small.
+
+def _ball_windows(starts, deltas, points, r: float) -> tuple[np.ndarray, np.ndarray]:
+    """Per (edge, point) pair, the parameter window of the edge within r of
+    the point: the t in [0, 1] with ||start + t*delta - point|| <= r.
+
+    starts, deltas and points are per-coordinate sequences of arrays that
+    broadcast to one shape, the shape of the returned (lo, hi); empty
+    windows have lo > hi. The discriminant is evaluated as r^2*||delta||^2
+    minus the squared rejection of w = start - point (a sum of squared 2x2
+    minors); the naive b^2 - 4ac form cancels catastrophically when w is
+    nearly parallel to delta and r is small. Sums run over the coordinates
+    in order, so each window is bit-identical whatever the block shape.
     """
-    n, d = w.shape
-    aa = (deltas * deltas).sum(axis=1)
-    wd = (w * deltas).sum(axis=1)
-    gram = np.zeros(n)
+    w = [s - x for s, x in zip(starts, points)]
+    d = len(w)
+    aa = deltas[0] * deltas[0]
+    wd = w[0] * deltas[0]
+    for u in range(1, d):
+        aa = aa + deltas[u] * deltas[u]
+        wd = wd + w[u] * deltas[u]
+    gram = 0.0
     for u in range(d):
         for v in range(u + 1, d):
-            minor = deltas[:, u] * w[:, v] - deltas[:, v] * w[:, u]
-            gram += minor * minor
+            minor = deltas[u] * w[v] - deltas[v] * w[u]
+            gram = gram + minor * minor
     disc = aa * (r * r) - gram
-
-    lo = np.full(n, math.inf)
-    hi = np.full(n, -math.inf)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        sq = np.sqrt(disc)  # NaN exactly where not disc >= 0
+        nwd = -wd
+        lo = np.maximum((nwd - sq) / aa, 0.0)
+        hi = np.minimum((nwd + sq) / aa, 1.0)
+    empty = np.isnan(sq)
     degen = aa == 0.0
-    inside = degen & ((w * w).sum(axis=1) <= r * r)
-    lo[inside] = 0.0
-    hi[inside] = 1.0
-    ok = ~degen & (disc >= 0.0)
-    if ok.any():
-        sq = np.sqrt(disc[ok])
-        lo[ok] = np.maximum((-wd[ok] - sq) / aa[ok], 0.0)
-        hi[ok] = np.minimum((-wd[ok] + sq) / aa[ok], 1.0)
+    if degen.any():
+        ww = w[0] * w[0]
+        for u in range(1, d):
+            ww = ww + w[u] * w[u]
+        lo = np.where(degen, 0.0, lo)
+        hi = np.where(degen, 1.0, hi)
+        empty = np.where(degen, ~(ww <= r * r), empty)
+    np.copyto(lo, math.inf, where=empty)
+    np.copyto(hi, -math.inf, where=empty)
     return lo, hi
+
+
+def _coords(V: np.ndarray) -> list[np.ndarray]:
+    """The coordinate columns of a vertex array, each contiguous."""
+    return [np.ascontiguousarray(V[:, u]) for u in range(V.shape[1])]
 
 
 def _point_curve_within(a: np.ndarray, Q: np.ndarray, r: float) -> bool:
@@ -139,15 +160,38 @@ def _point_curve_within(a: np.ndarray, Q: np.ndarray, r: float) -> bool:
     return bool(np.sqrt((diff * diff).sum(axis=1)).max() <= r)
 
 
+def _check_radius(r: float) -> None:
+    if not (0 <= r < math.inf):
+        raise ValueError(f"radius must be finite and >= 0, got {r}")
+
+
+def check_eps_list(eps_list) -> None:
+    """Raise ValueError unless eps_list is a non-empty, strictly decreasing
+    sequence of finite values > 0."""
+    if (
+        not eps_list
+        or not all(0 < eps < math.inf for eps in eps_list)
+        or any(b >= a for a, b in zip(eps_list, eps_list[1:]))
+    ):
+        raise ValueError(
+            "eps_list must be non-empty, finite, > 0 and strictly decreasing, "
+            f"got {tuple(eps_list)}")
+
+
 def decide_continuous(p: Curve, q: Curve, r: float) -> bool:
     """True iff the continuous Frechet distance of p and q is at most r.
 
-    Monotone reachability over the free-space diagram, swept one row of
-    cells at a time: O(|p|*|q|) time and O(min(|p|,|q|)) working memory.
+    Monotone reachability over the free-space diagram (Alt and Godau),
+    swept one row of cells at a time. Each row is swept only from its first
+    reachable cell until propagation dies past its last one, and the sweep
+    answers Far as soon as nothing on the next line, the left boundary or
+    the right boundary is reachable. The free-space windows come from a
+    vectorized kernel run on fixed blocks of rows, so working memory is
+    O(block * min(|p|, |q|)); numpy does O(|p|*|q|) arithmetic, Python
+    visits only the reachable band's cells.
     """
     _check_dims(p, q)
-    if r < 0:
-        raise ValueError("radius must be >= 0")
+    _check_radius(r)
     P, Q = p.vertices, q.vertices
     if _dist(P[0], Q[0]) > r or _dist(P[-1], Q[-1]) > r:
         return False
@@ -156,91 +200,107 @@ def decide_continuous(p: Curve, q: Curve, r: float) -> bool:
     if len(Q) == 1:
         return _point_curve_within(Q[0], P, r)
     if len(Q) > len(P):
-        P, Q = Q, P  # the scan state is sized by the shorter curve
+        P, Q = Q, P  # rows run along the longer curve
 
     m, n = len(P), len(Q)
-    q_starts, q_deltas = Q[:-1], Q[1:] - Q[:-1]
-    p_deltas = P[1:] - P[:-1]
+    Pc, Qc = _coords(P), _coords(Q)
+    p_deltas = [c[1:] - c[:-1] for c in Pc]
+    q_starts = [c[:-1] for c in Qc]
+    q_deltas = [c[1:] - c[:-1] for c in Qc]
 
-    # Free intervals on the current horizontal grid line (p-parameter = i):
-    # per q-edge j, the s-range where vertex P[i] is within r of the edge.
-    hlo, hhi = _ball_windows(q_starts - P[0], q_deltas, r)
-
-    # Entry points (smallest reachable parameter) on that line; None = blocked.
-    entry: list[float | None] = [None] * (n - 1)
-    entry[0] = 0.0
-    for j in range(1, n - 1):
-        if entry[j - 1] is not None and hhi[j - 1] == 1.0 and hlo[j] == 0.0:
-            entry[j] = 0.0
-        else:
-            break  # the bottom line is reachable only as a contiguous prefix
+    # Free intervals on the bottom line (p-parameter = 0), which is
+    # reachable only as a contiguous prefix of columns.
+    (hlo,), (hhi,) = _ball_windows(q_starts, q_deltas, [c[:1, None] for c in Pc], r)
+    prefix = (hhi[:-1] == 1.0) & (hlo[1:] == 0.0)
+    last = n - 2 if prefix.all() else int(np.argmin(prefix))
+    # entry[j]: the smallest reachable parameter on the current line in
+    # column j, None = blocked; reachable entries lie in columns first..last.
+    entry: list[float | None] = [0.0] * (last + 1) + [None] * (n - 2 - last)
+    first = 0
 
     leftline: float | None = 0.0  # entry on the q-parameter = 0 boundary
-    rightline: float | None = None  # entry on the q-parameter = n-1 boundary
-    prev_vhi_last = None
+    rightline = False  # the q-parameter = n-1 boundary is reachable
+    prev_vhi0 = prev_vhi_last = None
 
-    for i in range(m - 1):
-        # Vertical boundaries of this cell row: per q-vertex j, the t-range
-        # where the p-edge i passes within r of Q[j].
-        vlo, vhi = _ball_windows(
-            P[i] - Q, np.broadcast_to(p_deltas[i], Q.shape), r
-        )
+    for b in range(0, m - 1, _BLOCK):
+        rows = slice(b, min(b + _BLOCK, m - 1))
+        # No column left of the band becomes reachable again unless the
+        # left boundary still is, so the block's windows start at c0.
+        c0 = 0 if leftline is not None else first
+        # Vertical boundaries of row i: per q-vertex j, the t-range where
+        # p-edge i passes within r of Q[j]. Horizontal line i+1: per q-edge
+        # j, the s-range where P[i+1] is within r of the edge.
+        vlo_rows, vhi_rows = _ball_windows(
+            [c[rows, None] for c in Pc], [c[rows, None] for c in p_deltas],
+            [c[None, c0:] for c in Qc], r)
+        hlo_rows, hhi_rows = _ball_windows(
+            [c[None, c0:] for c in q_starts], [c[None, c0:] for c in q_deltas],
+            [c[rows.start + 1:rows.stop + 1, None] for c in Pc], r)
 
-        if i > 0:
-            if leftline is not None and prev_vhi0 == 1.0 and vlo[0] == 0.0:
-                leftline = 0.0
-            else:
+        for i, vlo, vhi, hlo, hhi in zip(
+                range(b, rows.stop), vlo_rows, vhi_rows, hlo_rows, hhi_rows):
+            if i > 0 and leftline is not None and not (
+                    prev_vhi0 == 1.0 and vlo[0] == 0.0):
                 leftline = None
 
-        hlo2, hhi2 = _ball_windows(q_starts - P[i + 1], q_deltas, r)
+            left = leftline  # entry on the left boundary of the current cell
+            new_entry: list[float | None] = [None] * (n - 1)
+            nfirst, nlast = n - 1, -1
+            j = 0 if left is not None else first
+            while j < n - 1 and (left is not None or j <= last):
+                # the band in one read, then short reads while left survives
+                stop = min(n - 1, max(last + 1, j + _CHUNK))
+                cells = zip(
+                    range(j, stop), entry[j:stop],
+                    vlo[j + 1 - c0:stop + 1 - c0].tolist(),
+                    vhi[j + 1 - c0:stop + 1 - c0].tolist(),
+                    hlo[j - c0:stop - c0].tolist(),
+                    hhi[j - c0:stop - c0].tolist())
+                for jj, bot, vl, vh, hl, hh in cells:
+                    # top boundary of cell (i, jj), then its right boundary
+                    if left is not None:
+                        top = hl if hl <= hh else None
+                        if bot is None:
+                            e = left if left > vl else vl
+                            left = e if e <= vh else None
+                        else:
+                            left = vl if vl <= vh else None
+                    elif bot is not None:
+                        e = bot if bot > hl else hl
+                        top = e if e <= hh else None
+                        left = vl if vl <= vh else None
+                    elif jj > last:
+                        break
+                    else:
+                        continue
+                    if top is not None:
+                        new_entry[jj] = top
+                        if nlast < 0:
+                            nfirst = jj
+                        nlast = jj
+                else:
+                    j = stop
+                    continue
+                break
 
-        left: float | None = leftline
-        new_entry: list[float | None] = [None] * (n - 1)
-        for j in range(n - 1):
-            bot = entry[j]
-            # top boundary of cell (i, j) = line i+1, column j
-            if left is not None:
-                if hlo2[j] <= hhi2[j]:
-                    new_entry[j] = hlo2[j]
-            elif bot is not None:
-                e = bot if bot > hlo2[j] else hlo2[j]
-                if e <= hhi2[j]:
-                    new_entry[j] = e
-            # right boundary of cell (i, j) = vertical boundary j+1
-            if bot is not None:
-                nxt = vlo[j + 1] if vlo[j + 1] <= vhi[j + 1] else None
-            elif left is not None:
-                e = left if left > vlo[j + 1] else vlo[j + 1]
-                nxt = e if e <= vhi[j + 1] else None
-            else:
-                nxt = None
-            left = nxt
+            # Reachability on the q-parameter = n-1 boundary, carried across rows.
+            rightline = left is not None or (
+                rightline and prev_vhi_last == 1.0 and vlo[n - 1 - c0] == 0.0)
+            prev_vhi_last = vhi[n - 1 - c0]
+            if leftline is not None:
+                prev_vhi0 = vhi[0]
+            entry, first, last = new_entry, nfirst, nlast
+            if last < 0 and leftline is None and not rightline:
+                return False
 
-        # Reachability on the q-parameter = n-1 boundary, carried across rows.
-        candidates = []
-        if left is not None:
-            candidates.append(left)
-        if (
-            rightline is not None
-            and prev_vhi_last == 1.0
-            and vlo[n - 1] == 0.0
-        ):
-            candidates.append(vlo[n - 1])
-        rightline = min(candidates) if candidates else None
-        prev_vhi_last = vhi[n - 1]
-        prev_vhi0 = vhi[0]
-        entry = new_entry
-        hlo, hhi = hlo2, hhi2
-
-    if rightline is not None and prev_vhi_last == 1.0:
+    if rightline and prev_vhi_last == 1.0:
         return True
     # Travel along the final p-parameter = m-1 line toward the corner:
-    # at_end[j] == the line's s = 1 point in column j is reachable.
+    # at_end == the line's s = 1 point in column j is reachable.
     at_end = False
-    for j in range(n - 1):
-        arrived = entry[j] is not None
-        continued = at_end and hlo[j] == 0.0
-        at_end = (arrived or continued) and hhi[j] == 1.0
+    for bot, hl, hh in zip(entry[first:], hlo[first - c0:].tolist(),
+                           hhi[first - c0:].tolist()):
+        at_end = (bot is not None or (at_end and hl == 0.0)) and hh == 1.0
     return at_end
 
 
@@ -251,7 +311,10 @@ def estimate_continuous(
 
     The initial bracket is [max endpoint distance, discrete Frechet
     distance], both valid bounds on the continuous distance. Returns a
-    radius certified Near, within rel_tol relative error (1e-12 floor).
+    radius that decide_continuous accepts, within rel_tol relative error
+    (1e-12 floor). Where floating point makes the decision reject the
+    bracket's upper end, the radius is widened geometrically until the
+    decision accepts it.
     """
     if rel_tol <= 0:
         raise ValueError("rel_tol must be > 0")
@@ -269,12 +332,15 @@ def estimate_continuous(
         else:
             lo = mid
     # At a knife-edge radius the floating-point decision can land Far by
-    # an ulp; nudge upward until the returned value is certified Near.
-    for bump in (0.0, 4e-16, 1e-14, 1e-12):
+    # an ulp; widen geometrically until the returned value is certified Near.
+    for bump in (0.0, 4e-16, 1e-14, 1e-12, 1e-10, 1e-8, 1e-6, 1e-4, 1e-2):
         est = hi * (1.0 + bump)
         if decide_continuous(p, q, est):
             return est
-    return hi
+    # At twice the largest vertex-to-vertex distance every free-space
+    # window is a whole edge with a wide margin, so the decision accepts.
+    diff = p.vertices[:, None, :] - q.vertices[None, :, :]
+    return 2.0 * float(np.sqrt((diff * diff).sum(axis=2).max()))
 
 
 # ---------------------------------------------------------------------------
@@ -374,54 +440,46 @@ def greedy_upper(p: Curve, q: Curve, r: float) -> VerificationOutcome:
     return VerificationOutcome(Verdict.NEAR, "greedy", witness)
 
 
-def _segment_free_window(a: np.ndarray, b0: np.ndarray, delta: np.ndarray, r: float):
-    """Parameter window of one polyline edge within distance r of point a."""
-    w = b0 - a
-    aa = float((delta * delta).sum())
-    if aa == 0.0:
-        return (0.0, 1.0) if float((w * w).sum()) <= r * r else None
-    wd = float((w * delta).sum())
-    gram = 0.0
-    for u in range(len(w)):
-        for v in range(u + 1, len(w)):
-            minor = delta[u] * w[v] - delta[v] * w[u]
-            gram += minor * minor
-    disc = aa * (r * r) - gram
-    if disc < 0.0:
-        return None
-    sq = math.sqrt(disc)
-    lo = max((-wd - sq) / aa, 0.0)
-    hi = min((-wd + sq) / aa, 1.0)
-    return (lo, hi) if lo <= hi else None
-
-
 def _monotone_position_scan(A: np.ndarray, B: np.ndarray, r: float) -> bool:
     """True when every vertex of A admits a monotone match on polyline B.
 
     Maintains the earliest position on B (never decreasing) within r of
     each successive vertex of A; failure certifies that no continuous
-    traversal can align the curves within r.
+    traversal can align the curves within r. The edge windows come from the
+    block kernel, one block of A's vertices at a time, from the block's
+    first candidate edge on.
     """
     nb = len(B)
     if nb == 1:
         diff = A - B[0]
         return bool(np.sqrt((diff * diff).sum(axis=1)).max() <= r)
-    deltas = B[1:] - B[:-1]
+    Ac, Bc = _coords(A), _coords(B)
+    starts = [c[:-1] for c in Bc]
+    deltas = [c[1:] - c[:-1] for c in Bc]
     cur = 0.0
-    for a in A:
-        e = min(int(cur), nb - 2)
-        matched = False
-        while e < nb - 1:
-            win = _segment_free_window(a, B[e], deltas[e], r)
-            if win is not None:
-                start = max(cur, e + win[0])
-                if start <= e + win[1]:
+    for b in range(0, len(A), _BLOCK):
+        c0 = min(int(cur), nb - 2)
+        lo, hi = _ball_windows([c[None, c0:] for c in starts],
+                               [c[None, c0:] for c in deltas],
+                               [c[b:b + _BLOCK, None] for c in Ac], r)
+        # Per vertex and column, the first edge at or after the column with a
+        # nonempty window (nb - 1 if none).
+        edge = np.where(lo <= hi, np.arange(c0, nb - 1), nb - 1)
+        nxt = np.minimum.accumulate(edge[:, ::-1], axis=1)[:, ::-1]
+        for lo_a, hi_a, nxt_a in zip(lo, hi, nxt):
+            e = min(int(cur), nb - 2)
+            # Only the edge holding cur can clip the window at cur; on any
+            # later edge e + lo > cur, so a nonempty window matches at e + lo.
+            lo_e, hi_e = float(lo_a[e - c0]), float(hi_a[e - c0])
+            if lo_e <= hi_e:
+                start = max(cur, e + lo_e)
+                if start <= e + hi_e:
                     cur = start
-                    matched = True
-                    break
-            e += 1
-        if not matched:
-            return False
+                    continue
+            e = int(nxt_a[e + 1 - c0]) if e + 1 < nb - 1 else nb - 1
+            if e == nb - 1:
+                return False
+            cur = e + float(lo_a[e - c0])
     return True
 
 
@@ -506,8 +564,8 @@ def verify(
     """The full decision cascade: endpoints, bounding boxes, simplified
     checks from coarsest to finest, then the heuristics with exact
     fallback. Always returns Near or Far."""
-    if not eps_list or any(b >= a for a, b in zip(eps_list, eps_list[1:])):
-        raise ValueError("eps_list must be non-empty and strictly decreasing")
+    _check_radius(r)
+    check_eps_list(eps_list)
     out = endpoints_filter(p, q, r)
     if out.verdict is not Verdict.UNKNOWN:
         return out

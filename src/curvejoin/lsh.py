@@ -70,8 +70,8 @@ class LshParams:
     l_prime: int = field(init=False)
 
     def __post_init__(self):
-        if self.delta <= 0:
-            raise ValueError("delta must be > 0")
+        if not (0 < self.delta < math.inf):
+            raise ValueError(f"delta must be finite and > 0, got {self.delta}")
         if self.k < 1 or self.L < 1 or self.d < 1:
             raise ValueError("k, L, and d must be >= 1")
         if not 0 <= self.seed <= MASK64:

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from curvejoin import Curve, Dataset, ScoredCandidate, snap_signature
+from curvejoin import Curve, Dataset, ScoredCandidate, discrete_frechet, snap_signature
 from curvejoin.lsh import _draw_grids
 
 
@@ -50,6 +50,23 @@ def random_pair(rng, d: int, m_max: int = 8):
         q = random_walk_curve(rng, 1, n, d, step=float(rng.uniform(0.2, 2.0)),
                               start=p.vertices[0] + rng.normal(size=d) * 0.3)
     return p, q
+
+
+def acceptance_corpus():
+    """The acceptance gate's 1000 seeded (p, q, r, discrete distance)
+    instances: 1-d and 2-d pairs with r scattered around the discrete
+    distance."""
+    rng = np.random.default_rng(20260814)
+    out = []
+    for i in range(1000):
+        d = 1 + i % 2
+        p, q = random_pair(rng, d)
+        ddf = discrete_frechet(p, q)
+        r = float(ddf * rng.uniform(0.4, 1.6) + rng.uniform(0.0, 0.2))
+        if r <= 0.0:
+            r = 0.1
+        out.append((p, q, r, ddf))
+    return out
 
 
 def assert_valid_witness(p: Curve, q: Curve, r: float, witness) -> None:
@@ -183,3 +200,163 @@ class DictIndex:
         L = self.params.L
         return [ScoredCandidate(cid, n, n / L)
                 for cid, n in sorted(counts.items(), key=lambda kv: (kv[1], kv[0]))]
+
+
+# ---------------------------------------------------------------------------
+# Oracles for the free-space decision and the monotone position scan: the
+# full row-by-row sweep and the scalar per-edge scan that the band sweep and
+# the block window kernel in curvejoin.frechet replace. Both must agree with
+# the library bit for bit.
+
+
+def _ball_windows_rows(w: np.ndarray, deltas: np.ndarray, r: float):
+    """Per row, the parameter window where ||w + t*delta|| <= r, clipped to
+    [0, 1]; empty windows have lo > hi."""
+    n, d = w.shape
+    aa = (deltas * deltas).sum(axis=1)
+    wd = (w * deltas).sum(axis=1)
+    gram = np.zeros(n)
+    for u in range(d):
+        for v in range(u + 1, d):
+            minor = deltas[:, u] * w[:, v] - deltas[:, v] * w[:, u]
+            gram += minor * minor
+    disc = aa * (r * r) - gram
+
+    lo = np.full(n, math.inf)
+    hi = np.full(n, -math.inf)
+    degen = aa == 0.0
+    inside = degen & ((w * w).sum(axis=1) <= r * r)
+    lo[inside] = 0.0
+    hi[inside] = 1.0
+    ok = ~degen & (disc >= 0.0)
+    if ok.any():
+        sq = np.sqrt(disc[ok])
+        lo[ok] = np.maximum((-wd[ok] - sq) / aa[ok], 0.0)
+        hi[ok] = np.minimum((-wd[ok] + sq) / aa[ok], 1.0)
+    return lo, hi
+
+
+def decide_continuous_full(p: Curve, q: Curve, r: float) -> bool:
+    """Oracle: the free-space decision swept over every one of the m*n cells."""
+    P, Q = p.vertices, q.vertices
+    if np.linalg.norm(P[0] - Q[0]) > r or np.linalg.norm(P[-1] - Q[-1]) > r:
+        return False
+    if len(P) == 1 or len(Q) == 1:
+        a, V = (P[0], Q) if len(P) == 1 else (Q[0], P)
+        diff = V - a
+        return bool(np.sqrt((diff * diff).sum(axis=1)).max() <= r)
+    if len(Q) > len(P):
+        P, Q = Q, P
+
+    m, n = len(P), len(Q)
+    q_starts, q_deltas = Q[:-1], Q[1:] - Q[:-1]
+    p_deltas = P[1:] - P[:-1]
+    hlo, hhi = _ball_windows_rows(q_starts - P[0], q_deltas, r)
+    entry = [None] * (n - 1)
+    entry[0] = 0.0
+    for j in range(1, n - 1):
+        if entry[j - 1] is not None and hhi[j - 1] == 1.0 and hlo[j] == 0.0:
+            entry[j] = 0.0
+        else:
+            break
+    leftline = 0.0
+    rightline = None
+    prev_vhi_last = prev_vhi0 = None
+    for i in range(m - 1):
+        vlo, vhi = _ball_windows_rows(
+            P[i] - Q, np.broadcast_to(p_deltas[i], Q.shape), r)
+        if i > 0:
+            if leftline is not None and prev_vhi0 == 1.0 and vlo[0] == 0.0:
+                leftline = 0.0
+            else:
+                leftline = None
+        hlo2, hhi2 = _ball_windows_rows(q_starts - P[i + 1], q_deltas, r)
+        left = leftline
+        new_entry = [None] * (n - 1)
+        for j in range(n - 1):
+            bot = entry[j]
+            if left is not None:
+                if hlo2[j] <= hhi2[j]:
+                    new_entry[j] = hlo2[j]
+            elif bot is not None:
+                e = bot if bot > hlo2[j] else hlo2[j]
+                if e <= hhi2[j]:
+                    new_entry[j] = e
+            if bot is not None:
+                nxt = vlo[j + 1] if vlo[j + 1] <= vhi[j + 1] else None
+            elif left is not None:
+                e = left if left > vlo[j + 1] else vlo[j + 1]
+                nxt = e if e <= vhi[j + 1] else None
+            else:
+                nxt = None
+            left = nxt
+        candidates = []
+        if left is not None:
+            candidates.append(left)
+        if rightline is not None and prev_vhi_last == 1.0 and vlo[n - 1] == 0.0:
+            candidates.append(vlo[n - 1])
+        rightline = min(candidates) if candidates else None
+        prev_vhi_last = vhi[n - 1]
+        prev_vhi0 = vhi[0]
+        entry = new_entry
+        hlo, hhi = hlo2, hhi2
+    if rightline is not None and prev_vhi_last == 1.0:
+        return True
+    at_end = False
+    for j in range(n - 1):
+        arrived = entry[j] is not None
+        continued = at_end and hlo[j] == 0.0
+        at_end = (arrived or continued) and hhi[j] == 1.0
+    return at_end
+
+
+def _segment_free_window(a, b0, delta, r):
+    """Parameter window of one polyline edge within distance r of point a."""
+    w = b0 - a
+    aa = float((delta * delta).sum())
+    if aa == 0.0:
+        return (0.0, 1.0) if float((w * w).sum()) <= r * r else None
+    wd = float((w * delta).sum())
+    gram = 0.0
+    for u in range(len(w)):
+        for v in range(u + 1, len(w)):
+            minor = delta[u] * w[v] - delta[v] * w[u]
+            gram += minor * minor
+    disc = aa * (r * r) - gram
+    if disc < 0.0:
+        return None
+    sq = math.sqrt(disc)
+    lo = max((-wd - sq) / aa, 0.0)
+    hi = min((-wd + sq) / aa, 1.0)
+    return (lo, hi) if lo <= hi else None
+
+
+def monotone_position_scan_scalar(A: np.ndarray, B: np.ndarray, r: float) -> bool:
+    """Oracle: the monotone position scan, one edge window at a time."""
+    nb = len(B)
+    if nb == 1:
+        diff = A - B[0]
+        return bool(np.sqrt((diff * diff).sum(axis=1)).max() <= r)
+    deltas = B[1:] - B[:-1]
+    cur = 0.0
+    for a in A:
+        e = min(int(cur), nb - 2)
+        matched = False
+        while e < nb - 1:
+            win = _segment_free_window(a, B[e], deltas[e], r)
+            if win is not None:
+                start = max(cur, e + win[0])
+                if start <= e + win[1]:
+                    cur = start
+                    matched = True
+                    break
+            e += 1
+        if not matched:
+            return False
+    return True
+
+
+def negative_filter_far_scalar(p: Curve, q: Curve, r: float) -> bool:
+    """Oracle: True when the scalar scan certifies Far in either direction."""
+    return not (monotone_position_scan_scalar(p.vertices, q.vertices, r)
+                and monotone_position_scan_scalar(q.vertices, p.vertices, r))

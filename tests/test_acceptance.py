@@ -40,8 +40,8 @@ from curvejoin.lsh import (
     save_index,
 )
 
-from helpers import clustered_dataset, curve1, dataset_of, \
-    discrete_frechet_brute, random_pair, random_walk_curve
+from helpers import acceptance_corpus, clustered_dataset, curve1, \
+    dataset_of, discrete_frechet_brute, random_walk_curve
 
 
 def report(num: int, desc: str, ok: bool, detail: str = "") -> None:
@@ -53,17 +53,7 @@ def report(num: int, desc: str, ok: bool, detail: str = "") -> None:
 @pytest.fixture(scope="module")
 def instances():
     """Shared random (pair, radius) instances for criteria 2 and 3."""
-    rng = np.random.default_rng(20260814)
-    out = []
-    for i in range(1000):
-        d = 1 + i % 2
-        p, q = random_pair(rng, d)
-        ddf = discrete_frechet(p, q)
-        r = float(ddf * rng.uniform(0.4, 1.6) + rng.uniform(0.0, 0.2))
-        if r <= 0.0:
-            r = 0.1
-        out.append((p, q, r, ddf))
-    return out
+    return acceptance_corpus()
 
 
 @pytest.fixture(scope="module")

@@ -136,6 +136,9 @@ class TestSelfJoinCmd:
         ["--radius", "-2"],
         ["--k", "0"],
         ["--grid-factor", "0"],
+        ["--grid-factor", "nan"],
+        ["--epsilons", "1,nan"],
+        ["--epsilons", "1,0"],
     ])
     def test_bad_config_exits_2(self, series_path, extra, capsys):
         argv = ["self-join", "--data", series_path, "--L", "16"] + extra
@@ -259,6 +262,20 @@ class TestCollisionProbCmd:
         code, _, _ = run(["collision-prob", "--data", series_path,
                           "--delta", "0"], capsys)
         assert code == 2
+
+    @pytest.mark.parametrize("extra", [
+        ["--delta", "nan"],
+        ["--delta", "4", "--trials", "0"],
+        ["--delta", "4", "--k", "0"],
+    ])
+    def test_bad_config_exits_2(self, series_path, tmp_path, extra, capsys):
+        out_csv = tmp_path / "rows.csv"
+        code, _, err = run(["collision-prob", "--data", series_path,
+                            "--sample", "2", "--out", str(out_csv)] + extra,
+                           capsys)
+        assert code == 2, err
+        assert err.startswith("error:")
+        assert not out_csv.exists()
 
 
 class TestVerifyPairCmd:

@@ -51,6 +51,14 @@ class TestQueryConfig:
         {"r": 1.0, "tau": 1.5},
         {"r": 1.0, "radius_slack": "edges"},
         {"r": 1.0, "grid_factor": 0.0},
+        {"r": math.nan},
+        {"r": math.inf},
+        {"r": 1.0, "tau": math.nan},
+        {"r": 1.0, "grid_factor": math.nan},
+        {"r": 1.0, "grid_factor": math.inf},
+        {"r": 1.0, "eps_list": (1.0, math.nan)},
+        {"r": 1.0, "eps_list": (1.0, 0.0)},
+        {"r": 1.0, "eps_list": (1.0, 1.0)},
     ])
     def test_rejects_bad_values(self, kw):
         with pytest.raises(ValueError):
@@ -258,6 +266,12 @@ class TestExactJoin:
         data = dataset_of([curve1(0, [0.0]), curve1(1, [1.0])])
         with pytest.raises(ValueError):
             exact_join(data, 0.0)
+
+    @pytest.mark.parametrize("r", [math.nan, math.inf])
+    def test_rejects_non_finite_radius(self, r):
+        data = dataset_of([curve1(0, [0.0]), curve1(1, [1.0])])
+        with pytest.raises(ValueError, match="finite"):
+            exact_join(data, r)
 
 
 class TestMetrics:

@@ -22,6 +22,7 @@ from curvejoin import (
     verify_heur,
     verify_simpl,
 )
+from curvejoin import frechet
 from helpers import (
     assert_valid_witness,
     curve,
@@ -182,6 +183,13 @@ class TestDecideContinuous:
         with pytest.raises(ValueError):
             decide_continuous(curve1(0, [0.0]), curve1(1, [0.0]), -1.0)
 
+    @pytest.mark.parametrize("r", [math.nan, math.inf])
+    @pytest.mark.parametrize("decider", [decide_continuous, verify])
+    def test_non_finite_radius_rejected(self, decider, r):
+        p = curve1(0, [0.0, 1.0])
+        with pytest.raises(ValueError, match="radius"):
+            decider(p, p, r)
+
 
 class TestEstimateContinuous:
     def test_spike_value(self):
@@ -206,6 +214,23 @@ class TestEstimateContinuous:
             dd = discrete_frechet(p, q)
             assert lo - 1e-12 <= est <= dd * (1 + 1e-11) + 1e-12
             assert decide_continuous(p, q, est)
+
+    def test_every_returned_value_is_accepted(self, monkeypatch):
+        # A decision that rejects everything below a floor stands in for a
+        # knife-edge radius that floating point lands Far: the estimate
+        # keeps widening until it is accepted.
+        rng = np.random.default_rng(42)
+        exact = decide_continuous
+        for floor_factor in (1.0, 1.0 + 1e-7, 1.5):
+            for _ in range(20):
+                p, q = random_pair(rng, 2)
+                floor = discrete_frechet(p, q) * floor_factor
+                monkeypatch.setattr(
+                    frechet, "decide_continuous",
+                    lambda a, b, r, floor=floor: r >= floor and exact(a, b, r))
+                est = estimate_continuous(p, q)
+                monkeypatch.undo()
+                assert est >= floor and exact(p, q, est)
 
     def test_identical_is_zero(self):
         rng = np.random.default_rng(41)
@@ -499,6 +524,9 @@ class TestVerifyCascade:
             verify(c, c, 1.0, eps_list=(1.0, 1.0))
         with pytest.raises(ValueError):
             verify(c, c, 1.0, eps_list=(0.1, 10.0))
+        for bad in ((1.0, math.nan), (math.inf, 1.0), (1.0, 0.0), (1.0, -1.0)):
+            with pytest.raises(ValueError, match="finite"):
+                verify(c, c, 1.0, eps_list=bad)
 
 
 class TestMetricProperties:

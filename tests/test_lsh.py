@@ -33,6 +33,9 @@ class TestLshParams:
     def test_validation(self):
         with pytest.raises(ValueError):
             LshParams(0.0, 1, 1, 1, 0)
+        for delta in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="delta"):
+                LshParams(delta, 1, 1, 1, 0)
         with pytest.raises(ValueError):
             LshParams(1.0, 0, 1, 1, 0)
         with pytest.raises(ValueError):
