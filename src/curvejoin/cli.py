@@ -13,6 +13,7 @@ import csv
 import json
 import math
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -135,6 +136,8 @@ def _write_text(path: str | None, text: str) -> None:
 
 
 def cmd_self_join(args) -> int:
+    if args.threads < 1:
+        raise ConfigError(f"--threads must be >= 1, got {args.threads}")
     data = _load_dataset(args)
     eps = _parse_epsilons(args.epsilons)
     r = _resolve_radius(args, data)
@@ -174,21 +177,7 @@ def cmd_exact_join(args) -> int:
 
 def cmd_metrics(args) -> int:
     got = metrics(_read_pairs_csv(args.predicted), _read_pairs_csv(args.truth))
-    sys.stdout.write(
-        json.dumps(
-            {
-                "tp": got.tp,
-                "fp": got.fp,
-                "fn": got.fn,
-                "recall": got.recall,
-                "precision": got.precision,
-                "recall_defined": got.recall_defined,
-                "precision_defined": got.precision_defined,
-            },
-            indent=2,
-        )
-        + "\n"
-    )
+    sys.stdout.write(json.dumps(asdict(got), indent=2) + "\n")
     return EXIT_OK
 
 
@@ -268,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     sj.add_argument("--epsilons", default="10,1,0.1")
     sj.add_argument("--seed", type=int, default=0)
     sj.add_argument("--threads", type=int, default=1,
-                    help="no effect; kept for compatibility")
+                    help="no effect (queries run in one thread); must be >= 1")
     sj.add_argument("--slack", choices=("none", "longest-edge"), default="none")
     sj.add_argument("--truth", default=None, help="ground-truth pairs CSV")
     sj.add_argument("--out-summary", default=None)

@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -98,6 +99,11 @@ class Dataset:
     @property
     def n(self) -> int:
         return len(self.curves)
+
+    @cached_property
+    def max_edge(self) -> float:
+        """The longest edge of any curve, computed on first use."""
+        return max(longest_edge(c) for c in self.curves)
 
     def __iter__(self):
         return iter(self.curves)

@@ -16,11 +16,11 @@ import csv
 import io
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .curves import Curve, Dataset, longest_edge
+from .curves import Curve, Dataset
 from .frechet import (
     DEFAULT_EPS_LIST,
     Verdict,
@@ -57,9 +57,9 @@ class QueryConfig:
     """Knobs of a range query or join.
 
     The grid side is grid_factor * d * r; with radius_slack
-    "longest-edge" the radius is first widened by the longest edge seen
-    in the data, which makes discrete-distance collisions safe bounds for
-    the continuous distance on sparsely sampled curves.
+    "longest-edge" the radius is first widened by the dataset's longest
+    edge, which makes discrete-distance collisions safe bounds for the
+    continuous distance on sparsely sampled curves.
     """
 
     r: float
@@ -81,16 +81,13 @@ class QueryConfig:
         object.__setattr__(self, "eps_list", tuple(self.eps_list))
         check_eps_list(self.eps_list)
 
-    def lsh_radius(self, dataset: Dataset, query: Curve | None = None) -> float:
+    def lsh_radius(self, dataset: Dataset) -> float:
         if self.radius_slack == "none":
             return self.r
-        iota = max(longest_edge(c) for c in dataset)
-        if query is not None:
-            iota = max(iota, longest_edge(query))
-        return self.r + iota
+        return self.r + dataset.max_edge
 
-    def grid_delta(self, dataset: Dataset, query: Curve | None = None) -> float:
-        return self.grid_factor * dataset.d * self.lsh_radius(dataset, query)
+    def grid_delta(self, dataset: Dataset) -> float:
+        return self.grid_factor * dataset.d * self.lsh_radius(dataset)
 
 
 def make_params(dataset: Dataset, cfg: QueryConfig, k: int, L: int, seed: int) -> LshParams:
@@ -132,9 +129,10 @@ def range_query(
 
     The ceil(tau * candidates) lowest-score candidates (ties by id) are
     decided by the verification cascade; the rest are reported as
-    unverified positives. The index grid must match the configuration.
+    unverified positives. The index grid must match the configuration;
+    an external query is hashed on that grid whatever its edge lengths.
     """
-    expected = cfg.grid_delta(dataset, q)
+    expected = cfg.grid_delta(dataset)
     if idx.params.delta != expected:
         raise ValueError(
             f"index grid {idx.params.delta} does not match configuration "
@@ -251,23 +249,19 @@ def self_join(
     records = tuple(run(c) for c in dataset)
     query_seconds = time.perf_counter() - t1
 
+    # a pair's slot goes to the first verified verdict, in query-id order,
+    # and holds the unverified placeholder only until one arrives
     decided: dict[tuple[int, int], tuple[str, str]] = {}
     removed: set[tuple[int, int]] = set()
     positive: set[tuple[int, int]] = set()
     for rec in records:
-        for dec in rec.result.rejected:
+        for dec in rec.result.kept + rec.result.rejected:
             pair = _norm_pair((rec.query_id, dec.curve_id))
-            decided.setdefault(pair, (dec.stage, "far"))
-            removed.add(pair)
-        for dec in rec.result.kept:
-            pair = _norm_pair((rec.query_id, dec.curve_id))
-            if dec.verdict == "near":
-                prev = decided.get(pair)
-                if prev is None or prev[1] != "near":
-                    decided[pair] = (dec.stage, "near")
-            else:
+            if dec.verdict == "unverified":
                 decided.setdefault(pair, ("unverified-positive", "unverified"))
-            positive.add(pair)
+            elif decided.get(pair, (None, "unverified"))[1] == "unverified":
+                decided[pair] = (dec.stage, dec.verdict)
+            (removed if dec.verdict == "far" else positive).add(pair)
     # a Far verdict from either endpoint is authoritative: the cascade
     # agrees with the exact decision, so the other side cannot say Near
     pairs = tuple(sorted(positive - removed))
@@ -382,16 +376,7 @@ def summary_dict(report: JoinReport) -> dict:
         },
     }
     if report.metrics is not None:
-        m = report.metrics
-        out["metrics"] = {
-            "tp": m.tp,
-            "fp": m.fp,
-            "fn": m.fn,
-            "recall": m.recall,
-            "precision": m.precision,
-            "recall_defined": m.recall_defined,
-            "precision_defined": m.precision_defined,
-        }
+        out["metrics"] = asdict(report.metrics)
     return out
 
 

@@ -1,7 +1,7 @@
 """Monte-Carlo checks of the grid-hash collision laws and report analysis.
 
 The estimators here bypass tensoring and key folding on purpose: trials
-draw raw grid-hash functions and compare full signatures, so they measure
+draw raw grid shifts and compare full signatures, so they measure
 the hash family itself rather than the engineering layers on top of it.
 
 Three reference quantities accompany each estimate:
@@ -26,7 +26,7 @@ import numpy as np
 from .curves import Curve
 from .engine import JoinReport
 from .frechet import discrete_frechet
-from .lsh import GridHash, Signature, snap_signature
+from .lsh import snap_signature
 
 __all__ = [
     "BoundsRow",
@@ -59,13 +59,11 @@ def _estimate(trials: int, hits: int, **bounds) -> CollisionEstimate:
     return CollisionEstimate(trials, hits, p_hat, stderr, **bounds)
 
 
-def _signatures_equal(a: Signature, b: Signature) -> bool:
-    if len(a.blocks) != len(b.blocks):
-        return False
-    return all(
-        x.shape == y.shape and np.array_equal(x, y)
-        for x, y in zip(a.blocks, b.blocks)
-    )
+def _signatures_equal(shifts: np.ndarray, delta: float, p: Curve, q: Curve) -> bool:
+    """Whether p and q snap to the same signature on every grid."""
+    cp, kp = snap_signature(shifts, delta, p)
+    cq, kq = snap_signature(shifts, delta, q)
+    return all(np.array_equal(a[ka], b[kb]) for a, ka, b, kb in zip(cp, kp, cq, kq))
 
 
 def _rng(seed: int) -> np.random.Generator:
@@ -92,8 +90,7 @@ def collision_probability(
     hits = 0
     for _ in range(trials):
         shifts = rng.uniform(0.0, delta, size=(k, p.dim))
-        grids = [GridHash(delta, s) for s in shifts]
-        if _signatures_equal(snap_signature(grids, p), snap_signature(grids, q)):
+        if _signatures_equal(shifts, delta, p, q):
             hits += 1
     ddf = float(discrete_frechet(p, q))
     m = max(len(p), len(q))
@@ -125,8 +122,7 @@ def noisy_collision_probability(
     for _ in range(trials):
         np_p = Curve(0, p.vertices + rng.uniform(-half, half, size=p.vertices.shape))
         np_q = Curve(1, q.vertices + rng.uniform(-half, half, size=q.vertices.shape))
-        grids = [GridHash(delta, rng.uniform(0.0, delta, size=1))]
-        if _signatures_equal(snap_signature(grids, np_p), snap_signature(grids, np_q)):
+        if _signatures_equal(rng.uniform(0.0, delta, size=(1, 1)), delta, np_p, np_q):
             hits += 1
     ddf = float(discrete_frechet(p, q))
     m = max(len(p), len(q))

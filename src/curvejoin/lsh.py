@@ -2,13 +2,22 @@
 
 A curve is snapped to a randomly shifted grid (each vertex to its closest
 grid vertex) and the resulting cell sequence, with consecutive duplicates
-removed, is its signature. Signatures of k concatenated grids are folded
-into a 32-bit key by a streaming polynomial accumulator finished with one
-multiply-shift step. The index keeps L = L' * L' tables but evaluates only
-2 * L' signatures per curve: table (i, j) pairs the i-th hash of one group
-with the j-th hash of the other, so per-curve grid work drops from k * L
-to k * sqrt(L). The index is one (n, L) key matrix; queries search one
-sorted run of (table, key) words derived from it.
+removed, is its signature. The index keeps L = L' * L' tables but snaps
+each curve to only k * L' grids: two groups of L' slots, with ceil(k/2)
+and floor(k/2) grids per slot, and table (i, j) concatenates slot i of
+the first group with slot j of the second, so per-curve grid work drops
+from k * L to k * sqrt(L).
+
+Hashing is arrays. `snap_signature` snaps a curve to all of its grids in
+one broadcast and returns the cells with a mask that keeps the first
+vertex of each run. A table's words are the mixed coordinates of each
+grid's kept cells, with a separator between grids; their polynomial with
+the odd multiplier a, in wrapping 64-bit arithmetic, is finished by a
+multiply-shift to 32 bits. One masked fold over a power table turns each
+slot's words into (acc, a**count), and the polynomial of slot i followed
+by slot j is acc_i * a**count_j + acc_j, so all L keys come from one
+(L', 1) x (1, L') broadcast. The index is one (n, L) key matrix; queries search one sorted
+run of (table, key) words derived from it.
 
 Everything is derived deterministically from a 64-bit seed via
 counter-based PRNG streams, one per (group, table slot, concatenation
@@ -28,16 +37,12 @@ import numpy as np
 from .curves import Curve, Dataset
 
 __all__ = [
-    "GridHash",
     "IndexFormatError",
     "LshIndex",
     "LshParams",
     "ScoredCandidate",
-    "SequenceHasher",
-    "Signature",
     "build_index",
     "dataset_fingerprint",
-    "fold_key",
     "load_index",
     "query_scores",
     "save_index",
@@ -46,7 +51,7 @@ __all__ = [
 
 MASK64 = (1 << 64) - 1
 
-# word injected between per-grid blocks so block boundaries are positional
+# word put before each grid's cells so block boundaries are positional
 _SEPARATOR = 0x9E3779B97F4A7C15
 
 
@@ -83,129 +88,54 @@ class LshParams:
         object.__setattr__(self, "L", lp * lp)
 
 
-@dataclass(frozen=True)
-class GridHash:
-    """A grid of side delta shifted by t, with every t_i uniform in [0, delta)."""
+def snap_signature(shifts: np.ndarray, delta: float, p: Curve):
+    """Snap a curve to g grids at once: (g, m, d) cells and a (g, m) mask.
 
-    delta: float
-    shift: np.ndarray
-
-    def __post_init__(self):
-        s = np.asarray(self.shift, dtype=np.float64)
-        if s.ndim != 1 or not ((0.0 <= s) & (s < self.delta)).all():
-            raise ValueError("shift must be a vector with entries in [0, delta)")
-        s.setflags(write=False)
-        object.__setattr__(self, "shift", s)
-
-    def cells(self, vertices: np.ndarray) -> np.ndarray:
-        # round-half-up: the closest grid vertex to x is at cell*delta + t
-        return np.floor((vertices - self.shift) / self.delta + 0.5).astype(np.int64)
-
-
-@dataclass(frozen=True)
-class Signature:
-    """Snapped cell sequences, one block per concatenated grid.
-
-    Each block is an (m_i, d) integer array with no two consecutive rows
-    equal and m_i at most the source curve length.
+    Row i of the (g, d) shifts offsets grid i, each entry in [0, delta); a
+    vertex goes to its closest grid vertex, cell * delta + shift, rounding
+    half up. The mask keeps the first vertex of every run of equal cells,
+    so cells[i][keep[i]] is the curve's signature on grid i.
     """
-
-    blocks: tuple[np.ndarray, ...]
-
-
-def snap_signature(grids, p: Curve, stats: dict | None = None) -> Signature:
-    """Snap a curve to each grid in turn; one deduplicated block per grid."""
-    blocks = []
-    for g in grids:
-        if len(g.shift) != p.dim:
-            raise ValueError(f"dimension mismatch: grid {len(g.shift)}, curve {p.dim}")
-        cells = g.cells(p.vertices)
-        if len(cells) > 1:
-            keep = np.empty(len(cells), dtype=bool)
-            keep[0] = True
-            keep[1:] = (cells[1:] != cells[:-1]).any(axis=1)
-            cells = cells[keep]
-        cells.setflags(write=False)
-        blocks.append(cells)
-        if stats is not None:
-            stats["grid_evals"] = stats.get("grid_evals", 0) + 1
-    return Signature(tuple(blocks))
+    if shifts.shape[1] != p.dim:
+        raise ValueError(f"dimension mismatch: grid {shifts.shape[1]}, curve {p.dim}")
+    cells = np.floor((p.vertices - shifts[:, None, :]) / delta + 0.5).astype(np.int64)
+    keep = np.empty(cells.shape[:2], dtype=bool)
+    keep[:, 0] = True
+    keep[:, 1:] = (cells[:, 1:] != cells[:, :-1]).any(axis=2)
+    return cells, keep
 
 
-@dataclass(frozen=True)
-class SequenceHasher:
-    """Folds cell sequences into 32-bit keys, streaming one word at a time.
+def _fold(cells: np.ndarray, keep: np.ndarray, slots: int, lead: bool, a: int, mixers):
+    """Per slot, the polynomial state (acc, a**count) of its grids' words.
 
-    Every cell coordinate is mixed through a fixed per-coordinate 64-bit
-    finalizer, accumulated into a rolling polynomial with the odd
-    multiplier a (wrapping 64-bit arithmetic), and the final multiply-shift
-    (a * acc mod 2^64) >> (u - v) keeps the top v bits.
+    A slot holds g / slots consecutive grids. The words of one grid are a
+    separator, then the mixed coordinates of its kept cells; the first
+    separator of a slot counts only when lead is set. acc is the sum of
+    word * a**(kept words after it), in wrapping 64-bit arithmetic.
     """
-
-    a: int
-    mixers: np.ndarray
-
-    U = 64
-    V = 32
-
-    def __post_init__(self):
-        if self.a % 2 == 0 or not 0 < self.a <= MASK64:
-            raise ValueError("multiplier a must be odd and fit in 64 bits")
-        m = np.asarray(self.mixers, dtype=np.uint64)
-        m.setflags(write=False)
-        object.__setattr__(self, "mixers", m)
-
-    @classmethod
-    def from_rng(cls, rng: np.random.Generator, d: int) -> "SequenceHasher":
-        a = int.from_bytes(rng.bytes(8), "little") | 1
-        mixers = np.frombuffer(rng.bytes(8 * d), dtype="<u8").copy()
-        return cls(a, mixers)
-
-    def _mix(self, cells: np.ndarray) -> np.ndarray:
-        """Per-coordinate mixed words of a cell block, row-major."""
-        z = cells.view(np.uint64) ^ self.mixers
-        z = z ^ (z >> 30)
-        z = z * 0xBF58476D1CE4E5B9
-        z = z ^ (z >> 27)
-        z = z * 0x94D049BB133111EB
-        z = z ^ (z >> 31)
-        return z.ravel()
-
-    def fold_state(self, sig: Signature, lead_separator: bool = False):
-        """Polynomial accumulator over the signature's words.
-
-        Returns (acc, a**n mod 2^64); two states compose associatively,
-        which is what lets tensored table keys reuse per-group folds.
-        """
-        words: list[np.ndarray] = []
-        sep = np.array([_SEPARATOR], dtype=np.uint64)
-        for bi, block in enumerate(sig.blocks):
-            if bi > 0 or lead_separator:
-                words.append(sep)
-            words.append(self._mix(block))
-        if not words:
-            return 0, 1
-        w = np.concatenate(words)
-        powers = np.full(len(w), self.a, dtype=np.uint64)
-        powers[0] = 1
-        powers = powers.cumprod()  # wraps mod 2^64
-        acc = int((w * powers[::-1]).sum(dtype=np.uint64))
-        return acc, (int(powers[-1]) * self.a) & MASK64
-
-    @staticmethod
-    def combine(s1, s2):
-        a1, p1 = s1
-        a2, p2 = s2
-        return (a1 * p2 + a2) & MASK64, (p1 * p2) & MASK64
-
-    def finalize(self, acc: int) -> int:
-        return ((self.a * acc) & MASK64) >> (self.U - self.V)
-
-
-def fold_key(h: SequenceHasher, sig: Signature) -> int:
-    """One-pass 32-bit key of a signature."""
-    acc, _ = h.fold_state(sig)
-    return h.finalize(acc)
+    g, m, d = cells.shape
+    z = cells.view(np.uint64) ^ mixers
+    z ^= z >> 30
+    z *= 0xBF58476D1CE4E5B9
+    z ^= z >> 27
+    z *= 0x94D049BB133111EB
+    z ^= z >> 31
+    kept = np.empty((g, 1 + m * d), dtype=bool)
+    kept[:, 0] = True
+    kept[:, 1:] = np.repeat(keep, d, axis=1)
+    if not lead:
+        kept[:: g // slots, 0] = False
+    words = np.empty(kept.shape, dtype=np.uint64)
+    words[:, 0] = _SEPARATOR
+    words[:, 1:] = z.reshape(g, m * d)
+    words = np.where(kept, words, 0).reshape(slots, -1)
+    kept = kept.reshape(slots, -1)
+    count = kept.sum(axis=1)
+    powers = np.full(kept.shape[1] + 1, a, dtype=np.uint64)
+    powers[0] = 1
+    powers = powers.cumprod()  # a**i mod 2^64
+    acc = (words * powers[count[:, None] - kept.cumsum(axis=1)]).sum(axis=1)
+    return acc, powers[count]
 
 
 def _stream(seed: int, group: int, slot: int, concat: int) -> np.random.Generator:
@@ -215,24 +145,24 @@ def _stream(seed: int, group: int, slot: int, concat: int) -> np.random.Generato
 
 
 def _draw_grids(params: LshParams):
-    half_up = (params.k + 1) // 2
-    half_down = params.k // 2
-    lambda1 = tuple(
-        tuple(
-            GridHash(params.delta, _stream(params.seed, 0, slot, c).uniform(0.0, params.delta, params.d))
-            for c in range(half_up)
-        )
-        for slot in range(params.l_prime)
-    )
-    lambda2 = tuple(
-        tuple(
-            GridHash(params.delta, _stream(params.seed, 1, slot, c).uniform(0.0, params.delta, params.d))
-            for c in range(half_down)
-        )
-        for slot in range(params.l_prime)
-    )
-    hasher = SequenceHasher.from_rng(_stream(params.seed, 2, 0, 0), params.d)
-    return lambda1, lambda2, hasher
+    """Both groups' shifts, then the fold's odd multiplier a and mixers.
+
+    Group 0 has ceil(k/2) grids per slot and group 1 floor(k/2); each is
+    one (l_prime * grids per slot, d) array, slot by slot.
+    """
+
+    def shifts(group: int, per_slot: int) -> np.ndarray:
+        rows = [
+            _stream(params.seed, group, slot, c).uniform(0.0, params.delta, params.d)
+            for slot in range(params.l_prime)
+            for c in range(per_slot)
+        ]
+        return np.array(rows).reshape(-1, params.d)
+
+    rng = _stream(params.seed, 2, 0, 0)
+    a = int.from_bytes(rng.bytes(8), "little") | 1
+    mixers = np.frombuffer(rng.bytes(8 * params.d), dtype="<u8").astype(np.uint64)
+    return shifts(0, (params.k + 1) // 2), shifts(1, params.k // 2), a, mixers
 
 
 def dataset_fingerprint(dataset: Dataset) -> int:
@@ -250,9 +180,10 @@ def dataset_fingerprint(dataset: Dataset) -> int:
 class LshIndex:
     """Immutable L-table index over an (n, L) uint32 key matrix.
 
-    keys[c, i * l_prime + j] is curve c's key in table (i, j). The grids
-    and the hasher are re-derived from params, and the sorted run of
-    (table << 32) | key words, with the curve id of each word, from keys.
+    keys[c, i * l_prime + j] is curve c's key in table (i, j). The grid
+    shifts and the fold's multiplier and mixers are re-derived from params,
+    and the sorted run of (table << 32) | key words, with the curve id of
+    each word, from keys.
     """
 
     params: LshParams
@@ -284,15 +215,20 @@ class ScoredCandidate:
     score: float
 
 
-def _table_keys(grids, p: Curve, stats: dict | None = None) -> np.ndarray:
-    """The curve's key in each of the L tables (2 * l_prime snaps total)."""
-    lambda1, lambda2, hasher = grids
-    s1 = [hasher.fold_state(snap_signature(g, p, stats)) for g in lambda1]
-    s2 = [hasher.fold_state(snap_signature(g, p, stats), lead_separator=True) for g in lambda2]
-    acc1, pow1 = np.array(s1, dtype=np.uint64).T
-    acc2, pow2 = np.array(s2, dtype=np.uint64).T
-    acc, _ = hasher.combine((acc1[:, None], pow1[:, None]), (acc2[None, :], pow2[None, :]))
-    return hasher.finalize(acc).astype("<u4").ravel()
+def _table_keys(params: LshParams, grids, p: Curve) -> np.ndarray:
+    """The curve's key in each of the L tables, from one snap of k * l_prime grids.
+
+    Table (i, j) folds slot i of group 0, then slot j of group 1; the
+    polynomial of a concatenation is acc_i * a**count_j + acc_j.
+    """
+    shifts0, shifts1, a, mixers = grids
+    lp, g0 = params.l_prime, len(shifts0)
+    cells, keep = snap_signature(np.concatenate((shifts0, shifts1)), params.delta, p)
+    acc0, _ = _fold(cells[:g0], keep[:g0], lp, False, a, mixers)
+    acc1, pow1 = _fold(cells[g0:], keep[g0:], lp, True, a, mixers)
+    acc = acc0[:, None] * pow1 + acc1
+    # multiply-shift: the top 32 bits of a * acc mod 2^64
+    return ((a * acc) >> 32).astype("<u4").ravel()
 
 
 def build_index(dataset: Dataset, params: LshParams) -> LshIndex:
@@ -300,10 +236,10 @@ def build_index(dataset: Dataset, params: LshParams) -> LshIndex:
     if params.d != dataset.d:
         raise ValueError(f"params dimension {params.d} != dataset dimension {dataset.d}")
     grids = _draw_grids(params)
-    stats = {"grid_evals": 0}
-    keys = np.array([_table_keys(grids, c, stats) for c in dataset], dtype="<u4")
+    keys = np.array([_table_keys(params, grids, c) for c in dataset], dtype="<u4")
     keys.setflags(write=False)
-    return LshIndex(params, keys, dataset_fingerprint(dataset), stats["grid_evals"])
+    grid_evals = dataset.n * (len(grids[0]) + len(grids[1]))
+    return LshIndex(params, keys, dataset_fingerprint(dataset), grid_evals)
 
 
 def query_scores(idx: LshIndex, q: Curve) -> list[ScoredCandidate]:
@@ -315,7 +251,7 @@ def query_scores(idx: LshIndex, q: Curve) -> list[ScoredCandidate]:
     if q.dim != idx.params.d:
         raise ValueError(f"dimension mismatch: query {q.dim}, index {idx.params.d}")
     L = idx.params.L
-    words = _table_words(L) | _table_keys(idx._grids, q)
+    words = _table_words(L) | _table_keys(idx.params, idx._grids, q)
     lo = np.searchsorted(idx._run, words, "left")
     sizes = np.searchsorted(idx._run, words, "right") - lo
     # positions lo[t], ..., lo[t] + sizes[t] - 1 of every table t, in one array

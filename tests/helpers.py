@@ -6,8 +6,7 @@ import math
 
 import numpy as np
 
-from curvejoin import Curve, Dataset, ScoredCandidate, discrete_frechet, snap_signature
-from curvejoin.lsh import _draw_grids
+from curvejoin import Curve, Dataset, ScoredCandidate, discrete_frechet
 
 
 def curve1(cid: int, values) -> Curve:
@@ -169,28 +168,87 @@ def discrete_frechet_brute(p: Curve, q: Curve) -> float:
     return float(walk(0, 0))
 
 
+# ---------------------------------------------------------------------------
+# Oracle for the array hashing in curvejoin.lsh: per-grid snapping and a
+# streaming Python-int fold, one word at a time, drawn from the same
+# counter-based streams but sharing no code with the library.
+
+MASK64 = (1 << 64) - 1
+SEPARATOR = 0x9E3779B97F4A7C15
+
+
+def _stream(seed: int, group: int, slot: int, concat: int) -> np.random.Generator:
+    ss = np.random.SeedSequence(seed, spawn_key=(group, slot, concat))
+    return np.random.Generator(np.random.Philox(ss))
+
+
+def draw_hash(params):
+    """Per-slot grid shifts of both groups, and the fold's (a, mixers)."""
+    def group(g: int, per_slot: int) -> list:
+        return [[_stream(params.seed, g, slot, c).uniform(0.0, params.delta, params.d)
+                 for c in range(per_slot)] for slot in range(params.l_prime)]
+
+    rng = _stream(params.seed, 2, 0, 0)
+    a = int.from_bytes(rng.bytes(8), "little") | 1
+    raw = rng.bytes(8 * params.d)
+    mixers = [int.from_bytes(raw[8 * i:8 * i + 8], "little") for i in range(params.d)]
+    return group(0, (params.k + 1) // 2), group(1, params.k // 2), a, mixers
+
+
+def snap_block(vertices: np.ndarray, shift, delta: float) -> list:
+    """Signature on one grid: each vertex's closest grid vertex, with
+    consecutive duplicates dropped."""
+    out = []
+    for v in vertices:
+        cell = tuple(math.floor((float(x) - float(t)) / delta + 0.5) for x, t in zip(v, shift))
+        if not out or out[-1] != cell:
+            out.append(cell)
+    return out
+
+
+def mix_word(cell: int, mixer: int) -> int:
+    z = (cell & MASK64) ^ mixer
+    z ^= z >> 30
+    z = (z * 0xBF58476D1CE4E5B9) & MASK64
+    z ^= z >> 27
+    z = (z * 0x94D049BB133111EB) & MASK64
+    return z ^ (z >> 31)
+
+
+def stream_key(a: int, mixers, blocks) -> int:
+    """One-pass 32-bit key of a k-grid signature: Horner's rule over the
+    mixed cell coordinates, a separator between blocks, then multiply-shift."""
+    acc = 0
+    for bi, block in enumerate(blocks):
+        words = [SEPARATOR] if bi else []
+        words += [mix_word(x, mixers[u]) for cell in block for u, x in enumerate(cell)]
+        for w in words:
+            acc = (acc * a + w) & MASK64
+    return ((a * acc) & MASK64) >> 32
+
+
 class DictIndex:
     """Oracle for the key-matrix index: one dict of id lists per table.
 
-    Keys come from the Python-int tensored combine, one (i, j) pair at a
-    time, and scoring counts collisions with dict lookups.
+    Table (i, j) hashes the concatenated signature of slot i of the first
+    group and slot j of the second in one streaming pass, and scoring
+    counts collisions with dict lookups.
     """
 
     def __init__(self, dataset: Dataset, params):
         self.params = params
-        self.grids = _draw_grids(params)
+        self.hash = draw_hash(params)
         self.tables = [dict() for _ in range(params.L)]
         for c in dataset:
             for t, key in enumerate(self.keys(c)):
                 self.tables[t].setdefault(key, []).append(c.id)
 
     def keys(self, p: Curve) -> list[int]:
-        lambda1, lambda2, hasher = self.grids
-        states1 = [hasher.fold_state(snap_signature(g, p)) for g in lambda1]
-        states2 = [hasher.fold_state(snap_signature(g, p), lead_separator=True)
-                   for g in lambda2]
-        return [hasher.finalize(hasher.combine(s1, s2)[0])
-                for s1 in states1 for s2 in states2]
+        group0, group1, a, mixers = self.hash
+        delta = self.params.delta
+        sigs0 = [[snap_block(p.vertices, t, delta) for t in slot] for slot in group0]
+        sigs1 = [[snap_block(p.vertices, t, delta) for t in slot] for slot in group1]
+        return [stream_key(a, mixers, s0 + s1) for s0 in sigs0 for s1 in sigs1]
 
     def query_scores(self, q: Curve) -> list:
         counts: dict[int, int] = {}

@@ -139,6 +139,8 @@ class TestSelfJoinCmd:
         ["--grid-factor", "nan"],
         ["--epsilons", "1,nan"],
         ["--epsilons", "1,0"],
+        ["--threads", "0"],
+        ["--threads", "-3"],
     ])
     def test_bad_config_exits_2(self, series_path, extra, capsys):
         argv = ["self-join", "--data", series_path, "--L", "16"] + extra

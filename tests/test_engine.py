@@ -24,7 +24,13 @@ from curvejoin.engine import (
 from curvejoin.frechet import decide_continuous
 from curvejoin.lsh import LshParams, build_index
 
-from helpers import clustered_dataset, curve1, dataset_of, random_walk_curve
+from helpers import (
+    clustered_dataset,
+    curve1,
+    dataset_of,
+    perturbed_copy,
+    random_walk_curve,
+)
 
 
 def small_join_setup(seed=7, clusters=3, per_cluster=4, d=2, r=1.0,
@@ -70,13 +76,11 @@ class TestQueryConfig:
         assert cfg.grid_delta(data) == 4.0 * 1 * 0.5
 
     def test_grid_delta_with_longest_edge_slack(self):
-        # longest edges: 5 in the dataset, 7 on the query
+        # the longest edge in the dataset is 5
         data = dataset_of([curve1(0, [0.0, 5.0]), curve1(1, [1.0, 2.0])])
-        q = curve1(9, [0.0, 7.0])
         cfg = QueryConfig(r=0.5, radius_slack="longest-edge")
         assert cfg.lsh_radius(data) == 0.5 + 5.0
         assert cfg.grid_delta(data) == 4.0 * 1 * 5.5
-        assert cfg.grid_delta(data, q) == 4.0 * 1 * 7.5
 
     def test_dimension_scales_grid(self):
         rng = np.random.default_rng(0)
@@ -143,6 +147,22 @@ class TestRangeQuery:
         idx = build_index(data, bad)
         with pytest.raises(ValueError, match="grid"):
             range_query(idx, data, data[0], cfg)
+
+    def test_longest_edge_slack_answers_external_queries(self):
+        # the query's 50-long edge is far longer than any in the dataset;
+        # it is hashed on the index's grid all the same
+        rng = np.random.default_rng(12)
+        data = dataset_of([random_walk_curve(rng, i, 8, 1) for i in range(5)])
+        cfg = QueryConfig(r=0.5, tau=1.0, radius_slack="longest-edge")
+        idx = build_index(data, make_params(data, cfg, k=2, L=16, seed=3))
+        for q in (curve1(9, [0.0, 50.0]),
+                  Curve(9, np.vstack([data[0].vertices, data[0].vertices[-1:] + 50.0]))):
+            res = range_query(idx, data, q, cfg)
+            for dec in res.kept + res.rejected:
+                near = decide_continuous(q, data[dec.curve_id], cfg.r)
+                assert (dec.verdict == "near") == near
+        res = range_query(idx, data, data[0], cfg)
+        assert 0 in [d.curve_id for d in res.kept]
 
     def test_near_duplicates_are_found(self):
         # copies sit at ~2% of the grid cell, so every table collides
@@ -242,6 +262,22 @@ class TestSelfJoin:
                 decided = sum(v for k, v in hist.items()
                               if k not in ("lsh-reject", "unverified-positive"))
                 assert decided == 0
+
+    def test_unverified_pairs_are_reported(self):
+        # at 0 < tau < 1 one query may skip a pair that the other query
+        # verifies Far; the pair is then filed under its verified stage
+        seen = 0
+        for seed in range(12):
+            rng = np.random.default_rng(seed)
+            base = [random_walk_curve(rng, i, 6, 1, step=0.5) for i in range(6)]
+            data = dataset_of(base + [perturbed_copy(rng, c, 6 + c.id, amp=0.3)
+                                      for c in base])
+            cfg = QueryConfig(r=0.5, tau=0.5, grid_factor=2.0)
+            report = self_join(data, make_params(data, cfg, k=1, L=16, seed=7), cfg)
+            unverified = {p for p, (_, v) in report.decided.items() if v == "unverified"}
+            assert unverified <= set(report.pairs)
+            seen += len(unverified)
+        assert seen > 0
 
     def test_histogram_buckets_use_known_labels(self):
         data, truth, cfg, params = small_join_setup(tau=1.0)

@@ -1,23 +1,33 @@
 import numpy as np
 import pytest
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from curvejoin import (
     Curve,
     Dataset,
-    GridHash,
     IndexFormatError,
     LshParams,
-    SequenceHasher,
-    Signature,
     build_index,
     discrete_frechet,
-    fold_key,
     load_index,
     query_scores,
     save_index,
     snap_signature,
 )
-from helpers import DictIndex, curve, curve1, perturbed_copy, random_walk_curve
+from curvejoin.lsh import _draw_grids, _table_keys
+from helpers import (
+    DictIndex,
+    curve,
+    curve1,
+    draw_hash,
+    mix_word,
+    perturbed_copy,
+    random_walk_curve,
+    snap_block,
+    stream_key,
+)
 
 
 class TestLshParams:
@@ -44,117 +54,130 @@ class TestLshParams:
             LshParams(1.0, 1, 1, 1, 1 << 64)
 
 
+def _signature(shift, delta: float, c: Curve) -> np.ndarray:
+    cells, keep = snap_signature(np.atleast_2d(shift), delta, c)
+    return cells[0][keep[0]]
+
+
 class TestSnapping:
     def test_worked_example(self):
         # 0.6 is closest to grid vertex 0.25 (cell 0); 1.1 and 1.2 to 1.25
-        g = GridHash(1.0, np.array([0.25]))
-        sig = snap_signature([g], curve1(0, [0.6, 1.1, 1.2]))
-        assert sig.blocks[0][:, 0].tolist() == [0, 1]
+        sig = _signature([0.25], 1.0, curve1(0, [0.6, 1.1, 1.2]))
+        assert sig[:, 0].tolist() == [0, 1]
 
     def test_round_half_up(self):
-        g = GridHash(1.0, np.array([0.0]))
-        assert g.cells(np.array([[0.5]]))[0, 0] == 1
-        assert g.cells(np.array([[-0.5]]))[0, 0] == 0
-        assert g.cells(np.array([[0.49999]]))[0, 0] == 0
+        cells, _ = snap_signature(np.array([[0.0]]), 1.0, curve1(0, [0.5, -0.5, 0.49999]))
+        assert cells[0, :, 0].tolist() == [1, 0, 0]
 
     def test_single_vertex(self):
-        g = GridHash(2.0, np.array([0.5, 1.5]))
-        sig = snap_signature([g], curve(0, [[3.0, 3.0]]))
-        assert len(sig.blocks[0]) == 1
+        cells, keep = snap_signature(np.array([[0.5, 1.5], [1.0, 0.0]]), 2.0,
+                                     curve(0, [[3.0, 3.0]]))
+        assert cells.shape == (2, 1, 2)
+        assert keep.tolist() == [[True], [True]]
 
     def test_identical_curves_identical_signatures(self):
         rng = np.random.default_rng(60)
-        g = GridHash(1.0, rng.uniform(0, 1, 2))
+        shifts = rng.uniform(0, 1, (3, 2))
         c = random_walk_curve(rng, 0, 10, 2)
-        s1 = snap_signature([g], c)
-        s2 = snap_signature([g], curve(1, c.vertices.copy()))
-        assert np.array_equal(s1.blocks[0], s2.blocks[0])
+        s1 = snap_signature(shifts, 1.0, c)
+        s2 = snap_signature(shifts, 1.0, curve(1, c.vertices.copy()))
+        assert np.array_equal(s1[0], s2[0]) and np.array_equal(s1[1], s2[1])
 
     def test_no_consecutive_duplicates_and_bounded_length(self):
         rng = np.random.default_rng(61)
         for _ in range(50):
             d = int(rng.integers(1, 3))
             c = random_walk_curve(rng, 0, int(rng.integers(1, 25)), d, step=0.3)
-            g = GridHash(1.0, rng.uniform(0, 1, d))
-            block = snap_signature([g], c).blocks[0]
-            assert 1 <= len(block) <= len(c)
-            assert not any(
-                np.array_equal(block[i], block[i + 1]) for i in range(len(block) - 1)
-            )
+            shifts = rng.uniform(0, 1, (4, d))
+            cells, keep = snap_signature(shifts, 1.0, c)
+            for g in range(4):
+                block = cells[g][keep[g]]
+                oracle = snap_block(c.vertices, shifts[g], 1.0)
+                assert block.tolist() == [list(cell) for cell in oracle]
+                assert 1 <= len(block) <= len(c)
+                assert not any(
+                    np.array_equal(block[i], block[i + 1]) for i in range(len(block) - 1)
+                )
 
     def test_dimension_mismatch(self):
-        g = GridHash(1.0, np.array([0.0, 0.0]))
         with pytest.raises(ValueError, match="dimension"):
-            snap_signature([g], curve1(0, [0.0]))
-
-    def test_shift_validation(self):
-        with pytest.raises(ValueError):
-            GridHash(1.0, np.array([1.0]))  # shift must be < delta
-        with pytest.raises(ValueError):
-            GridHash(1.0, np.array([-0.1]))
+            snap_signature(np.zeros((1, 2)), 1.0, curve1(0, [0.0]))
 
 
-def _sig(cells_1d) -> Signature:
-    return Signature((np.asarray(cells_1d, dtype=np.int64).reshape(-1, 1),))
+def _key(cells_1d, a: int, mixers) -> int:
+    """Library key of a 1-d cell sequence: with k = 1, L = 1 and a zero
+    shift on a unit grid, integer vertices are their own cells."""
+    grids = (np.zeros((1, 1)), np.zeros((0, 1)), a, np.asarray(mixers, dtype=np.uint64))
+    keys = _table_keys(LshParams(1.0, 1, 1, 1, 0), grids, curve1(0, cells_1d))
+    assert keys.dtype == np.dtype("<u4") and keys.shape == (1,)
+    return int(keys[0])
+
+
+def _random_hash(rng):
+    """An odd multiplier and one mixer, for 1-d signatures."""
+    return int(rng.integers(1 << 62)) * 2 + 1, [int(rng.integers(0, 1 << 63))]
 
 
 class TestSequenceHasher:
+    """The polynomial fold and multiply-shift that turn signatures into keys."""
+
     def test_multiply_shift_example(self):
-        # (a * 1 mod 2^64) >> 32 with a = 2^32 + 1 keeps exactly the 1
-        h = SequenceHasher((1 << 32) + 1, np.array([0], dtype=np.uint64))
-        assert h.finalize(1) == 1
+        # with a = 2^32 + 1, (a * w mod 2^64) >> 32 adds w's two 32-bit halves
+        a = (1 << 32) + 1
+        w = mix_word(5, 0)  # the one word of the one-cell signature (5,)
+        assert _key([5], a, [0]) == ((w & 0xFFFFFFFF) + (w >> 32)) & 0xFFFFFFFF
 
     def test_equal_signatures_equal_keys(self):
         rng = np.random.default_rng(62)
-        h = SequenceHasher.from_rng(rng, 1)
-        assert fold_key(h, _sig([3, -1, 4])) == fold_key(h, _sig([3, -1, 4]))
-        assert fold_key(h, _sig([3, -1])) != fold_key(h, _sig([3, -1, 4]))
+        a, mixers = _random_hash(rng)
+        assert _key([3, -1, 4], a, mixers) == _key([3, -1, 4], a, mixers)
+        assert _key([3, -1], a, mixers) != _key([3, -1, 4], a, mixers)
+        # runs of equal cells collapse to one
+        assert _key([3, 3, 3, -1, 4, 4], a, mixers) == _key([3, -1, 4], a, mixers)
 
     def test_keys_fit_in_32_bits(self):
         rng = np.random.default_rng(63)
-        h = SequenceHasher.from_rng(rng, 1)
+        a, mixers = _random_hash(rng)
         for _ in range(200):
-            key = fold_key(h, _sig(rng.integers(-100, 100, size=5)))
+            cells = rng.integers(-100, 100, size=5)
+            key = _key(cells, a, mixers)
             assert 0 <= key < (1 << 32)
-
-    def test_even_multiplier_rejected(self):
-        with pytest.raises(ValueError):
-            SequenceHasher(2, np.array([0], dtype=np.uint64))
+            assert key == stream_key(a, mixers, [[(int(x),) for x in _dedup(cells)]])
 
     def test_tensored_key_equals_direct_concatenation_fold(self):
-        # the pair key must be indistinguishable from hashing the full
+        # each table key must be indistinguishable from hashing the full
         # k-grid signature in one pass
         rng = np.random.default_rng(64)
-        h = SequenceHasher.from_rng(rng, 2)
-        for _ in range(20):
-            b1 = tuple(
-                np.asarray(rng.integers(-50, 50, size=(int(rng.integers(1, 6)), 2)))
-                for _ in range(3)
-            )
-            b2 = tuple(
-                np.asarray(rng.integers(-50, 50, size=(int(rng.integers(1, 6)), 2)))
-                for _ in range(2)
-            )
-            s1 = h.fold_state(Signature(b1))
-            s2 = h.fold_state(Signature(b2), lead_separator=True)
-            paired = h.finalize(h.combine(s1, s2)[0])
-            direct = fold_key(h, Signature(b1 + b2))
-            assert paired == direct
+        for k in (1, 2, 3, 4, 5):
+            par = LshParams(1.0, k, 9, 2, seed=int(rng.integers(1 << 63)))
+            grids = _draw_grids(par)
+            group0, group1, a, mixers = draw_hash(par)
+            for _ in range(4):
+                c = random_walk_curve(rng, 0, int(rng.integers(1, 12)), 2, step=0.6)
+                keys = _table_keys(par, grids, c).tolist()
+                for i, slot0 in enumerate(group0):
+                    for j, slot1 in enumerate(group1):
+                        blocks = [snap_block(c.vertices, t, 1.0) for t in slot0 + slot1]
+                        assert keys[i * par.l_prime + j] == stream_key(a, mixers, blocks)
 
     def test_spurious_collisions_are_rare(self):
         # about 1e6 distinct signature pairs; expected collisions 2^-32
         # per pair, so observing zero is the overwhelmingly likely outcome
         rng = np.random.default_rng(65)
-        h = SequenceHasher.from_rng(rng, 1)
+        a, mixers = _random_hash(rng)
         keys = []
         for i in range(1415):
             cells = np.concatenate(([i], rng.integers(-1000, 1000, size=6)))
-            keys.append(fold_key(h, _sig(cells)))
+            keys.append(_key(cells, a, mixers))
         counts = {}
         for k in keys:
             counts[k] = counts.get(k, 0) + 1
         collisions = sum(c * (c - 1) // 2 for c in counts.values())
         assert collisions == 0
+
+
+def _dedup(cells) -> list:
+    return [int(x) for i, x in enumerate(cells) if i == 0 or x != cells[i - 1]]
 
 
 class TestCollisionSoundness:
@@ -165,9 +188,9 @@ class TestCollisionSoundness:
         for _ in range(400):
             p = random_walk_curve(rng, 0, int(rng.integers(1, 10)), 1, step=0.4)
             q = perturbed_copy(rng, p, 1, amp=float(rng.uniform(0.0, 0.8)))
-            g = GridHash(delta, rng.uniform(0, delta, 1))
-            bp = snap_signature([g], p).blocks[0]
-            bq = snap_signature([g], q).blocks[0]
+            shift = rng.uniform(0, delta, 1)
+            bp = _signature(shift, delta, p)
+            bq = _signature(shift, delta, q)
             if bp.shape == bq.shape and np.array_equal(bp, bq):
                 hits += 1
                 assert discrete_frechet(p, q) <= delta + 1e-12
@@ -181,9 +204,9 @@ class TestCollisionSoundness:
             d = int(rng.integers(2, 4))
             p = random_walk_curve(rng, 0, int(rng.integers(1, 8)), d, step=0.3)
             q = perturbed_copy(rng, p, 1, amp=float(rng.uniform(0.0, 0.5)))
-            g = GridHash(delta, rng.uniform(0, delta, d))
-            bp = snap_signature([g], p).blocks[0]
-            bq = snap_signature([g], q).blocks[0]
+            shift = rng.uniform(0, delta, d)
+            bp = _signature(shift, delta, p)
+            bq = _signature(shift, delta, q)
             if bp.shape == bq.shape and np.array_equal(bp, bq):
                 hits += 1
                 assert discrete_frechet(p, q) <= delta * np.sqrt(d) + 1e-12
@@ -196,12 +219,9 @@ class TestCollisionSoundness:
         delta = 2.0
         trials = 20000
         for dv in (0.3, 1.0, 1.7):
-            x = np.array([[0.123]])
-            y = np.array([[0.123 + dv]])
-            same = 0
-            for t in rng.uniform(0, delta, trials):
-                g = GridHash(delta, np.array([t]))
-                same += g.cells(x)[0, 0] == g.cells(y)[0, 0]
+            cells, _ = snap_signature(rng.uniform(0, delta, (trials, 1)), delta,
+                                      curve1(0, [0.123, 0.123 + dv]))
+            same = int((cells[:, 0, 0] == cells[:, 1, 0]).sum())
             want = 1.0 - dv / delta
             stderr = np.sqrt(want * (1 - want) / trials)
             assert abs(same / trials - want) <= 3 * stderr
@@ -288,6 +308,17 @@ class TestIndex:
             cands = query_scores(idx, ds[0])
             assert all(s.curve_id != 1 for s in cands)
 
+    def test_drawn_grids_are_valid(self):
+        # shifts lie in [0, delta), k * l_prime of them; the multiplier is odd
+        for seed in range(20):
+            par = LshParams(0.5 + seed, 1 + seed % 4, 1 + seed, 1 + seed % 3, seed)
+            shifts0, shifts1, a, mixers = _draw_grids(par)
+            shifts = np.concatenate((shifts0, shifts1))
+            assert shifts.shape == (par.k * par.l_prime, par.d)
+            assert ((0.0 <= shifts) & (shifts < par.delta)).all()
+            assert a % 2 == 1 and 0 < a < (1 << 64)
+            assert mixers.dtype == np.uint64 and mixers.shape == (par.d,)
+
     def test_k1_tensoring_collapses_second_group(self):
         # with k = 1 the second group hashes nothing, so the key of table
         # (i, j) cannot depend on j
@@ -300,14 +331,15 @@ class TestIndex:
 
 
 class TestKeyMatrixMatchesDictIndex:
-    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_keys_and_scores_identical(self, k, d):
         rng = np.random.default_rng(100 * k + d)
         for L in (2, 10, 20):
-            # a single-vertex curve, and near copies so that tables share keys
-            base = [random_walk_curve(rng, i, int(rng.integers(1, 7)) if i else 1, d,
-                                      step=0.5) for i in range(8)]
+            # single-vertex curves, short steps that snap to runs of equal
+            # cells, and near copies so that tables share keys
+            base = [random_walk_curve(rng, i, int(rng.integers(1, 7)) if i % 4 else 1, d,
+                                      step=0.05 if i % 3 == 0 else 0.5) for i in range(8)]
             copies = [perturbed_copy(rng, c, 8 + c.id, amp=0.1) for c in base]
             ds = Dataset(base + copies)
             par = LshParams(2.0, k, L, d, seed=int(rng.integers(1 << 63)))
@@ -320,6 +352,33 @@ class TestKeyMatrixMatchesDictIndex:
                                   for _ in range(5)]
             for q in queries:
                 assert query_scores(idx, q) == oracle.query_scores(q)
+
+    def test_long_curve_keys_identical(self):
+        # about 2,400 vertices in 2-d on a grid finer than the steps, so
+        # nearly every vertex is a kept cell and a slot folds ~4,800 words
+        rng = np.random.default_rng(110)
+        ds = Dataset([random_walk_curve(rng, 0, 2400, 2, step=0.5),
+                      random_walk_curve(rng, 1, 3, 2)])
+        for k in (1, 2, 3):
+            par = LshParams(0.1, k, 16, 2, seed=int(rng.integers(1 << 63)))
+            idx = build_index(ds, par)
+            oracle = DictIndex(ds, par)
+            for c in ds:
+                assert idx.keys[c.id].tolist() == oracle.keys(c)
+
+    @settings(max_examples=60, deadline=None)
+    @given(k=st.integers(1, 4), d=st.integers(1, 3), L=st.integers(1, 30),
+           seed=st.integers(0, (1 << 64) - 1), data=st.data())
+    def test_keys_identical_property(self, k, d, L, seed, data):
+        # vertices on a half-integer lattice repeat often, so the snapped
+        # cells form runs; any k, d, L and seed
+        delta = data.draw(st.sampled_from([1.0, 2.0, 0.75]))
+        m = data.draw(st.integers(1, 12))
+        values = data.draw(st.lists(st.integers(-4, 4), min_size=m * d, max_size=m * d))
+        c = Curve(0, np.array(values, dtype=np.float64).reshape(m, d) / 2.0)
+        par = LshParams(delta, k, L, d, seed)
+        ds = Dataset([c])
+        assert build_index(ds, par).keys[0].tolist() == DictIndex(ds, par).keys(c)
 
 
 class TestIndexFiles:
