@@ -4,6 +4,8 @@ Every command is a pure function of its inputs, flags, and seed: reruns
 produce identical reports except for the timing fields, which live under
 dedicated "timings" keys (or are dropped with --no-timings). Exit codes:
 0 success, 2 configuration error, 3 IO or parse error, 4 internal error.
+The library validates its own arguments and raises ValueError for a bad
+one; `main` reports that as a configuration error.
 """
 
 from __future__ import annotations
@@ -11,7 +13,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -22,6 +23,7 @@ from .curves import (
     Curve,
     Dataset,
     ParseError,
+    check_positive,
     densify,
     parse_series_1d,
     parse_trajectories_2d,
@@ -54,12 +56,9 @@ class ConfigError(ValueError):
 def _parse_epsilons(text: str) -> tuple:
     try:
         eps = tuple(float(tok) for tok in text.split(",") if tok.strip())
-    except ValueError as exc:
-        raise ConfigError(f"bad --epsilons value: {text!r}") from exc
-    try:
         check_eps_list(eps)
     except ValueError as exc:
-        raise ConfigError(f"bad --epsilons: {exc}") from exc
+        raise ConfigError(f"bad --epsilons {text!r}: {exc}") from exc
     return eps
 
 
@@ -69,8 +68,6 @@ def _load_dataset(args) -> Dataset:
     else:
         data = parse_trajectories_2d(args.data)
     if args.densify is not None:
-        if args.densify <= 0:
-            raise ConfigError("--densify must be > 0")
         data = Dataset([densify(c, args.densify) for c in data])
     return data
 
@@ -81,20 +78,11 @@ def _load_single_curve(path: str, fmt: str, skip_first_field: bool) -> Curve:
     return read_trajectory_2d(path, 0)
 
 
-def _check_radius(r: float) -> float:
-    if not (math.isfinite(r) and r > 0):
-        raise ConfigError(f"--radius must be finite and > 0, got {r}")
-    return r
-
-
 def _resolve_radius(args, data: Dataset) -> float:
     if args.radius is not None:
-        return _check_radius(args.radius)
-    try:
-        r = percentile_radius(data, args.percentile, seed=args.seed)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    if r <= 0:
+        return check_positive("--radius", args.radius)
+    r = percentile_radius(data, args.percentile, seed=args.seed)
+    if r == 0:
         raise ConfigError(
             f"the {args.percentile}th percentile radius is 0; pass --radius"
         )
@@ -141,12 +129,9 @@ def cmd_self_join(args) -> int:
     data = _load_dataset(args)
     eps = _parse_epsilons(args.epsilons)
     r = _resolve_radius(args, data)
-    try:
-        cfg = QueryConfig(r=r, tau=args.tau, eps_list=eps,
-                          radius_slack=args.slack, grid_factor=args.grid_factor)
-        params = make_params(data, cfg, k=args.k, L=args.L, seed=args.seed)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    cfg = QueryConfig(r=r, tau=args.tau, eps_list=eps,
+                      radius_slack=args.slack, grid_factor=args.grid_factor)
+    params = make_params(data, cfg, k=args.k, L=args.L, seed=args.seed)
     truth = _read_pairs_csv(args.truth) if args.truth else None
     report = self_join(data, params, cfg, truth=truth)
     summary = _dump_json(summary_dict(report), args.no_timings)
@@ -185,17 +170,14 @@ def cmd_collision_prob(args) -> int:
     data = _load_dataset(args)
     if data.n < 2:
         raise ConfigError("need at least 2 curves")
-    if not (0 < args.delta < math.inf):
-        raise ConfigError("--delta must be finite and > 0")
+    if args.sample < 1:
+        raise ConfigError(f"--sample must be >= 1, got {args.sample}")
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(args.seed)))
     pairs = []
     for _ in range(args.sample):
         a, b = rng.choice(data.n, size=2, replace=False)
         pairs.append((data[int(a)], data[int(b)]))
-    try:
-        rows = bounds_report(pairs, args.delta, args.k, args.trials, args.seed)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    rows = bounds_report(pairs, args.delta, args.k, args.trials, args.seed)
     text = bounds_csv(rows)
     _write_text(args.out, text)
     if args.out is None:
@@ -217,7 +199,8 @@ def cmd_verify_pair(args) -> int:
     p = _load_single_curve(args.file_a, args.format, args.skip_first_field)
     q = _load_single_curve(args.file_b, args.format, args.skip_first_field)
     q = Curve(1, q.vertices)
-    out = verify(p, q, _check_radius(args.radius), _parse_epsilons(args.epsilons))
+    out = verify(p, q, check_positive("--radius", args.radius),
+                 _parse_epsilons(args.epsilons))
     sys.stdout.write(f"{out.verdict.value.capitalize()} {out.stage}\n")
     return EXIT_OK
 
@@ -306,12 +289,12 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except (ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except ValueError as exc:  # ConfigError or a library argument check
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     except Exception as exc:  # noqa: BLE001 - map anything else to exit 4
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

@@ -46,6 +46,15 @@ class ParseError(ValueError):
     """Raised when a dataset file cannot be parsed; names the offending location."""
 
 
+def check_positive(name: str, x: float, allow_zero: bool = False) -> float:
+    """Return x if it is finite and > 0 (>= 0 with allow_zero), else raise
+    ValueError naming it. The comparisons are written so NaN fails them."""
+    if not (0 <= x < math.inf if allow_zero else 0 < x < math.inf):
+        raise ValueError(
+            f"{name} must be finite and {'>=' if allow_zero else '>'} 0, got {x}")
+    return x
+
+
 @dataclass(frozen=True)
 class Curve:
     """An immutable polygonal curve: id plus an (m, d) vertex array.
@@ -142,8 +151,7 @@ def simplify(p: Curve, mu: float) -> Curve:
     input, and the curve stays within Frechet distance mu of the original.
     With mu = 0 this drops consecutive duplicates (endpoints kept).
     """
-    if mu < 0:
-        raise ValueError("mu must be >= 0")
+    check_positive("mu", mu, allow_zero=True)
     v = p.vertices
     m = len(v)
     kept = [0]
@@ -163,8 +171,7 @@ def densify(p: Curve, max_edge: float) -> Curve:
     The output traces the identical polyline (continuous Frechet distance
     zero to the input); only the vertex sampling changes.
     """
-    if max_edge <= 0:
-        raise ValueError("max_edge must be > 0")
+    check_positive("max_edge", max_edge)
     v = p.vertices
     if len(v) < 2:
         return p
@@ -181,14 +188,23 @@ def densify(p: Curve, max_edge: float) -> Curve:
     return Curve(p.id, np.concatenate(pieces, axis=0))
 
 
-def _parse_float(token: str, where: str) -> float:
-    try:
-        x = float(token)
-    except ValueError:
-        raise ParseError(f"{where}: non-numeric field {token!r}") from None
-    if not math.isfinite(x):
-        raise ParseError(f"{where}: non-finite value {token!r}")
-    return x
+def _parse_floats(fields: list[str], path: Path, lineno: int) -> list[float]:
+    """The fields of one line as finite floats. The first bad field raises
+    ParseError naming path:line:column; the location is formatted only then."""
+    values: list[float] = []
+    for tok in fields:
+        try:
+            x = float(tok)
+        except ValueError:
+            problem = "non-numeric field"
+            break
+        if not math.isfinite(x):
+            problem = "non-finite value"
+            break
+        values.append(x)
+    else:
+        return values
+    raise ParseError(f"{path}:{lineno}:{len(values) + 1}: {problem} {tok!r}")
 
 
 def parse_series_1d(path: str | Path, skip_first_field: bool = False) -> Dataset:
@@ -214,10 +230,7 @@ def parse_series_1d(path: str | Path, skip_first_field: bool = False) -> Dataset
                 fields = fields[1:]
                 if not fields:
                     raise ParseError(f"{path}:{lineno}: empty curve after label skip")
-            values = [
-                _parse_float(tok, f"{path}:{lineno}:{col}")
-                for col, tok in enumerate(fields, start=1)
-            ]
+            values = _parse_floats(fields, path, lineno)
             curves.append(Curve(len(curves), np.array(values, dtype=np.float64)))
     if not curves:
         raise ParseError(f"{path}: no curves found")
@@ -243,12 +256,7 @@ def read_trajectory_2d(path: str | Path, cid: int) -> Curve:
                 raise ParseError(
                     f"{path}:{lineno}: expected 'x y' pair, got {len(fields)} fields"
                 )
-            rows.append(
-                [
-                    _parse_float(fields[0], f"{path}:{lineno}:1"),
-                    _parse_float(fields[1], f"{path}:{lineno}:2"),
-                ]
-            )
+            rows.append(_parse_floats(fields, path, lineno))
     if not rows:
         raise ParseError(f"{path}: empty trajectory")
     return Curve(cid, np.array(rows, dtype=np.float64))

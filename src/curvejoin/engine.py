@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .curves import Curve, Dataset
+from .curves import Curve, Dataset, check_positive
 from .frechet import (
     DEFAULT_EPS_LIST,
     Verdict,
@@ -69,13 +69,10 @@ class QueryConfig:
     grid_factor: float = 4.0
 
     def __post_init__(self):
-        if not (0 < self.r < math.inf):
-            raise ValueError(f"r must be finite and > 0, got {self.r}")
+        check_positive("r", self.r)
         if not 0.0 <= self.tau <= 1.0:
             raise ValueError("tau must be in [0, 1]")
-        if not (0 < self.grid_factor < math.inf):
-            raise ValueError(
-                f"grid_factor must be finite and > 0, got {self.grid_factor}")
+        check_positive("grid_factor", self.grid_factor)
         if self.radius_slack not in RADIUS_SLACK_MODES:
             raise ValueError(f"radius_slack must be one of {RADIUS_SLACK_MODES}")
         object.__setattr__(self, "eps_list", tuple(self.eps_list))
@@ -282,8 +279,7 @@ def self_join(
 
 def exact_join(dataset: Dataset, r: float, eps_list=DEFAULT_EPS_LIST) -> tuple:
     """All unordered pairs within continuous Frechet distance r (ground truth)."""
-    if not (0 < r < math.inf):
-        raise ValueError(f"r must be finite and > 0, got {r}")
+    check_positive("r", r)
     out = []
     for i in range(dataset.n):
         p = dataset[i]

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import Curve
+from .curves import Curve, check_positive
 from .engine import JoinReport
 from .frechet import discrete_frechet
 from .lsh import snap_signature
@@ -84,8 +84,9 @@ def collision_probability(
         raise ValueError(f"dimension mismatch: {p.dim} vs {q.dim}")
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    if not (0 < delta < math.inf) or k < 1:
-        raise ValueError("need a finite delta > 0 and k >= 1")
+    check_positive("delta", delta)
+    if k < 1:
+        raise ValueError("k must be >= 1")
     rng = _rng(seed)
     hits = 0
     for _ in range(trials):
@@ -114,8 +115,7 @@ def noisy_collision_probability(
         raise ValueError("the noisy scheme is defined for 1-d curves only")
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    if not (0 < delta < math.inf):
-        raise ValueError("delta must be finite and > 0")
+    check_positive("delta", delta)
     rng = _rng(seed)
     half = delta / 2.0
     hits = 0

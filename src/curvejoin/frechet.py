@@ -19,7 +19,7 @@ from enum import Enum
 
 import numpy as np
 
-from .curves import Curve, bounding_box, simplify
+from .curves import Curve, bounding_box, check_positive, simplify
 
 __all__ = [
     "SimplVerifyParams",
@@ -161,21 +161,17 @@ def _point_curve_within(a: np.ndarray, Q: np.ndarray, r: float) -> bool:
 
 
 def _check_radius(r: float) -> None:
-    if not (0 <= r < math.inf):
-        raise ValueError(f"radius must be finite and >= 0, got {r}")
+    check_positive("radius", r, allow_zero=True)
 
 
 def check_eps_list(eps_list) -> None:
     """Raise ValueError unless eps_list is a non-empty, strictly decreasing
     sequence of finite values > 0."""
-    if (
-        not eps_list
-        or not all(0 < eps < math.inf for eps in eps_list)
-        or any(b >= a for a, b in zip(eps_list, eps_list[1:]))
-    ):
+    for eps in eps_list:
+        check_positive("eps", eps)
+    if not eps_list or any(b >= a for a, b in zip(eps_list, eps_list[1:])):
         raise ValueError(
-            "eps_list must be non-empty, finite, > 0 and strictly decreasing, "
-            f"got {tuple(eps_list)}")
+            f"eps_list must be non-empty and strictly decreasing, got {tuple(eps_list)}")
 
 
 def decide_continuous(p: Curve, q: Curve, r: float) -> bool:
@@ -316,8 +312,7 @@ def estimate_continuous(
     bracket's upper end, the radius is widened geometrically until the
     decision accepts it.
     """
-    if rel_tol <= 0:
-        raise ValueError("rel_tol must be > 0")
+    check_positive("rel_tol", rel_tol)
     _check_dims(p, q)
     lo = max(_dist(p.vertices[0], q.vertices[0]), _dist(p.vertices[-1], q.vertices[-1]))
     hi = discrete_frechet(p, q)
@@ -418,6 +413,7 @@ def greedy_upper(p: Curve, q: Curve, r: float) -> VerificationOutcome:
     then advancing q). A discrete traversal of max distance <= r bounds
     the discrete and hence the continuous distance. Never Far.
     """
+    _check_radius(r)
     P, Q = p.vertices, q.vertices
     m, n = len(P), len(Q)
     i = j = 0
@@ -451,8 +447,7 @@ def _monotone_position_scan(A: np.ndarray, B: np.ndarray, r: float) -> bool:
     """
     nb = len(B)
     if nb == 1:
-        diff = A - B[0]
-        return bool(np.sqrt((diff * diff).sum(axis=1)).max() <= r)
+        return _point_curve_within(B[0], A, r)
     Ac, Bc = _coords(A), _coords(B)
     starts = [c[:-1] for c in Bc]
     deltas = [c[1:] - c[:-1] for c in Bc]
@@ -486,6 +481,7 @@ def _monotone_position_scan(A: np.ndarray, B: np.ndarray, r: float) -> bool:
 def negative_filter(p: Curve, q: Curve, r: float) -> VerificationOutcome:
     """Far when some vertex of one curve has no monotone match on the
     other's polyline; applied in both directions. Never Near."""
+    _check_radius(r)
     if not _monotone_position_scan(p.vertices, q.vertices, r) or not (
         _monotone_position_scan(q.vertices, p.vertices, r)
     ):
@@ -500,6 +496,7 @@ def negative_filter(p: Curve, q: Curve, r: float) -> VerificationOutcome:
 def verify_heur(p: Curve, q: Curve, r: float) -> VerificationOutcome:
     """Run the upper-bound traversals and the negative scan in order,
     falling back to the exact free-space decision: always decisive."""
+    _check_radius(r)
     for step in (equal_time_upper, greedy_upper, negative_filter):
         out = step(p, q, r)
         if out.verdict is not Verdict.UNKNOWN:
@@ -528,13 +525,15 @@ class SimplVerifyParams:
 
     @classmethod
     def for_radius(cls, r: float, eps: float) -> "SimplVerifyParams":
-        if eps <= 0 or r <= 0:
-            raise ValueError("eps and r must be > 0")
+        check_positive("eps", eps)
+        check_positive("radius", r)
         r_prime = r / (1.0 + eps / 3.0)
         mu_minus = r * eps / 28.0
         mu_plus = r * eps / (28.0 * (1.0 + eps / 3.0))
         r_minus = r * (1.0 + eps / 14.0)
         r_plus = r * (3.0 * (1.0 + eps / 14.0) / (3.0 + eps))
+        # Near the float maximum, r * eps or r_minus overflows to inf.
+        check_positive("the simplification budget of this radius", max(mu_minus, r_minus))
         return cls(eps, r, r_prime, mu_minus, mu_plus, r_minus, r_plus)
 
 

@@ -34,7 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .curves import Curve, Dataset
+from .curves import Curve, Dataset, check_positive
 
 __all__ = [
     "IndexFormatError",
@@ -75,8 +75,7 @@ class LshParams:
     l_prime: int = field(init=False)
 
     def __post_init__(self):
-        if not (0 < self.delta < math.inf):
-            raise ValueError(f"delta must be finite and > 0, got {self.delta}")
+        check_positive("delta", self.delta)
         if self.k < 1 or self.L < 1 or self.d < 1:
             raise ValueError("k, L, and d must be >= 1")
         if not 0 <= self.seed <= MASK64:

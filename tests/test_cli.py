@@ -141,6 +141,7 @@ class TestSelfJoinCmd:
         ["--epsilons", "1,0"],
         ["--threads", "0"],
         ["--threads", "-3"],
+        ["--densify", "nan"],
     ])
     def test_bad_config_exits_2(self, series_path, extra, capsys):
         argv = ["self-join", "--data", series_path, "--L", "16"] + extra
@@ -269,6 +270,10 @@ class TestCollisionProbCmd:
         ["--delta", "nan"],
         ["--delta", "4", "--trials", "0"],
         ["--delta", "4", "--k", "0"],
+        ["--delta", "inf"],
+        ["--delta", "4", "--seed", "-1"],
+        ["--delta", "4", "--sample", "0"],
+        ["--delta", "4", "--sample", "-1"],
     ])
     def test_bad_config_exits_2(self, series_path, tmp_path, extra, capsys):
         out_csv = tmp_path / "rows.csv"
@@ -362,3 +367,48 @@ def test_bad_radius_exits_2(command, radius, series_path, capsys):
         argv = [command, "--data", series_path]
     code, _, err = run(argv + ["--radius", radius], capsys)
     assert code == 2, err
+
+
+# Every numeric flag of every subcommand, with the outputs it may write.
+NUMERIC_FLAGS = {
+    "self-join": ["--densify", "--radius", "--percentile", "--k", "--L", "--tau",
+                  "--grid-factor", "--epsilons", "--seed", "--threads"],
+    "exact-join": ["--densify", "--radius", "--percentile", "--epsilons", "--seed"],
+    "collision-prob": ["--densify", "--delta", "--k", "--trials", "--sample",
+                       "--seed"],
+    "verify-pair": ["--radius", "--epsilons"],
+}
+OUT_FLAGS = {
+    "self-join": ["--out-summary", "--out-queries", "--out-pairs"],
+    "exact-join": ["--out-pairs"],
+    "collision-prob": ["--out"],
+    "verify-pair": [],
+}
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-1", "0"])
+@pytest.mark.parametrize("command,flag", [
+    (command, flag) for command, flags in NUMERIC_FLAGS.items() for flag in flags])
+def test_numeric_flag_never_exits_4(command, flag, value, series_path, tmp_path,
+                                    capsys):
+    if command == "verify-pair":
+        argv = [command, series_path, series_path]
+    else:
+        argv = [command, "--data", series_path]
+    base = {"--radius": RADIUS, "--L": "16", "--delta": "4", "--trials": "20",
+            "--sample": "2"}
+    for name, default in base.items():
+        if name in NUMERIC_FLAGS[command] and name != flag and not (
+                name == "--radius" and flag == "--percentile"):
+            argv += [name, default]
+    outs = [tmp_path / f"out{i}" for i in range(len(OUT_FLAGS[command]))]
+    for name, path in zip(OUT_FLAGS[command], outs):
+        argv += [name, str(path)]
+    try:
+        code, _, err = run(argv + [flag, value], capsys)
+    except SystemExit as exc:  # argparse refuses the value's type or choice
+        code, err = exc.code, capsys.readouterr().err
+    assert code in (0, 2), err
+    if code == 2:
+        assert err
+        assert not any(path.exists() for path in outs)

@@ -101,6 +101,11 @@ class TestSimplify:
         with pytest.raises(ValueError):
             simplify(curve1(0, [0.0]), -0.1)
 
+    @pytest.mark.parametrize("mu", [math.nan, math.inf])
+    def test_non_finite_mu_rejected(self, mu):
+        with pytest.raises(ValueError, match="mu"):
+            simplify(curve1(0, [0.0, 1.0, 2.0]), mu)
+
     def test_output_is_subsequence(self):
         rng = np.random.default_rng(7)
         for _ in range(50):
@@ -149,6 +154,11 @@ class TestDensify:
     def test_nonpositive_max_edge_rejected(self):
         with pytest.raises(ValueError):
             densify(curve1(0, [0.0, 1.0]), 0.0)
+
+    @pytest.mark.parametrize("max_edge", [math.nan, math.inf])
+    def test_non_finite_max_edge_rejected(self, max_edge):
+        with pytest.raises(ValueError, match="max_edge"):
+            densify(curve1(0, [0.0, 1.0]), max_edge)
 
 
 class TestSeriesFormat:
@@ -234,6 +244,13 @@ class TestTrajectoryFormat:
         lst.write_text("a.txt\n")
         ds = parse_trajectories_2d(lst)
         assert ds[0].vertices.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+
+    def test_error_names_file_line_and_column(self, tmp_path):
+        (tmp_path / "a.txt").write_text("1 2\n3 oops\n")
+        lst = tmp_path / "files.txt"
+        lst.write_text("a.txt\n")
+        with pytest.raises(ParseError, match=r"a\.txt:2:2: non-numeric field 'oops'"):
+            parse_trajectories_2d(lst)
 
     def test_wrong_field_count(self, tmp_path):
         (tmp_path / "a.txt").write_text("1 2 3\n")

@@ -184,7 +184,11 @@ class TestDecideContinuous:
             decide_continuous(curve1(0, [0.0]), curve1(1, [0.0]), -1.0)
 
     @pytest.mark.parametrize("r", [math.nan, math.inf])
-    @pytest.mark.parametrize("decider", [decide_continuous, verify])
+    @pytest.mark.parametrize("decider", [
+        decide_continuous, verify, verify_heur, greedy_upper, negative_filter,
+        lambda p, q, r: verify_simpl(p, q, r, 1.0),
+    ], ids=["decide_continuous", "verify", "verify_heur", "greedy_upper",
+            "negative_filter", "verify_simpl"])
     def test_non_finite_radius_rejected(self, decider, r):
         p = curve1(0, [0.0, 1.0])
         with pytest.raises(ValueError, match="radius"):
@@ -236,6 +240,12 @@ class TestEstimateContinuous:
         rng = np.random.default_rng(41)
         c = random_walk_curve(rng, 0, 10, 2)
         assert estimate_continuous(c, c) == 0.0
+
+    @pytest.mark.parametrize("rel_tol", [math.nan, math.inf, 0.0, -1.0])
+    def test_bad_rel_tol_rejected(self, rel_tol):
+        c = curve1(0, [0.0, 1.0])
+        with pytest.raises(ValueError, match="rel_tol"):
+            estimate_continuous(c, c, rel_tol=rel_tol)
 
 
 class TestSimpleFilters:
@@ -451,6 +461,15 @@ class TestVerifySimpl:
         assert par.mu_plus == pytest.approx(3.0 / 112.0)
         assert par.r_minus == pytest.approx(15.0 / 14.0)
         assert par.r_plus == pytest.approx(45.0 / 56.0)
+
+    def test_overflowing_budget_rejected(self):
+        # r * eps overflows to inf; a finite radius of that size is refused
+        # rather than checked with an infinite simplification error.
+        with pytest.raises(ValueError, match="budget"):
+            SimplVerifyParams.for_radius(1e308, 10.0)
+        c = curve1(0, [0.0, 1.0, 0.0])
+        with pytest.raises(ValueError, match="budget"):
+            verify(c, c, 1e308)
 
     def test_error_budget_identities(self):
         # Far check: shrinking back by twice the simplification error
