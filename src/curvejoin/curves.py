@@ -165,25 +165,35 @@ def simplify(p: Curve, mu: float) -> Curve:
     return Curve(p.id, v[kept])
 
 
+# The most vertices densify makes of one curve (16 MB of 2-d vertices).
+DENSIFY_MAX_VERTICES = 1_000_000
+
+
 def densify(p: Curve, max_edge: float) -> Curve:
     """Subdivide every edge longer than max_edge into equal parts.
 
     The output traces the identical polyline (continuous Frechet distance
-    zero to the input); only the vertex sampling changes.
+    zero to the input); only the vertex sampling changes. Raises
+    ValueError, before allocating, when the output would have more than
+    DENSIFY_MAX_VERTICES vertices.
     """
     check_positive("max_edge", max_edge)
     v = p.vertices
     if len(v) < 2:
         return p
+    # An edge of length <= max_edge has a ratio <= 1 and stays whole; the
+    # clamp keeps an overflowing ratio (inf) away from ceil.
+    nsegs = [max(1, math.ceil(min(float(np.linalg.norm(b - a)) / max_edge,
+                                  DENSIFY_MAX_VERTICES)))
+             for a, b in zip(v[:-1], v[1:])]
+    total = 1 + sum(nsegs)
+    if total > DENSIFY_MAX_VERTICES:
+        raise ValueError(
+            f"densify: curve {p.id} at max_edge {max_edge} would have {total} "
+            f"vertices, more than {DENSIFY_MAX_VERTICES}")
     pieces = [v[:1]]
-    for i in range(len(v) - 1):
-        a, b = v[i], v[i + 1]
-        length = float(np.linalg.norm(b - a))
-        nseg = max(1, math.ceil(length / max_edge)) if length > max_edge else 1
-        if nseg > 1:
-            ts = np.linspace(0.0, 1.0, nseg + 1)[1:]
-        else:
-            ts = np.array([1.0])
+    for a, b, nseg in zip(v[:-1], v[1:], nsegs):
+        ts = np.linspace(0.0, 1.0, nseg + 1)[1:] if nseg > 1 else np.array([1.0])
         pieces.append(a + ts[:, None] * (b - a))
     return Curve(p.id, np.concatenate(pieces, axis=0))
 

@@ -5,8 +5,14 @@ distance r of a query curve. Candidates come from the grid index with
 collision scores; a fraction tau of them, lowest scores first, goes
 through the decisive verification cascade (low score = likely false
 positive). Verified Far candidates are dropped, everything else is
-reported. The self join runs one range query per curve and merges the
-unordered pairs; the exact join verifies every pair and serves as ground
+reported.
+
+The self join runs one range query per curve and merges the unordered
+pairs. It decides each candidate pair once: the first query that selects
+a pair runs the cascade, and the other side reuses that outcome (or
+re-runs only the order-dependent heuristics), with every simplified copy
+built once per join. The exact join filters all pairs by endpoints and
+bounding boxes as arrays and verifies the survivors; it is the ground
 truth.
 """
 
@@ -20,13 +26,16 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .curves import Curve, Dataset, check_positive
+from .curves import Curve, Dataset, bounding_box, check_positive
 from .frechet import (
     DEFAULT_EPS_LIST,
+    SimplifiedCopies,
     Verdict,
+    VerificationOutcome,
     check_eps_list,
     estimate_continuous,
     verify,
+    verify_heur,
 )
 from .lsh import LshIndex, LshParams, build_index, query_scores
 
@@ -121,13 +130,15 @@ def range_query(
     q: Curve,
     cfg: QueryConfig,
     exclude_id: int | None = None,
+    decide=None,
 ) -> RangeQueryResult:
     """Scored candidates with the tau-fraction verified, cheapest first.
 
     The ceil(tau * candidates) lowest-score candidates (ties by id) are
-    decided by the verification cascade; the rest are reported as
-    unverified positives. The index grid must match the configuration;
-    an external query is hashed on that grid whatever its edge lengths.
+    decided by the verification cascade, or by decide(q, candidate) when
+    given; the rest are reported as unverified positives. The index grid
+    must match the configuration; an external query is hashed on that
+    grid whatever its edge lengths.
     """
     expected = cfg.grid_delta(dataset)
     if idx.params.delta != expected:
@@ -143,7 +154,8 @@ def range_query(
     rejected = []
     for rank, cand in enumerate(cands):
         if rank < nsel:
-            out = verify(q, dataset[cand.curve_id], cfg.r, cfg.eps_list)
+            c = dataset[cand.curve_id]
+            out = verify(q, c, cfg.r, cfg.eps_list) if decide is None else decide(q, c)
             dec = CandidateDecision(
                 cand.curve_id,
                 cand.collisions,
@@ -204,6 +216,8 @@ class JoinReport:
 
     decided maps each unordered pair that surfaced as a candidate to its
     (stage, verdict); pairs that never collided are implicit lsh-rejects.
+    counters holds the join's deterministic work counts (see
+    summary_dict).
     """
 
     n_curves: int
@@ -212,6 +226,7 @@ class JoinReport:
     queries: tuple
     pairs: tuple
     decided: dict
+    counters: dict
     metrics: Metrics | None
     build_seconds: float
     query_seconds: float
@@ -219,6 +234,43 @@ class JoinReport:
     @property
     def total_pairs(self) -> int:
         return self.n_curves * (self.n_curves - 1) // 2
+
+
+# Stages from which the cascade's outcome depends on argument order:
+# greedy_upper breaks ties between its moves in a fixed order, and
+# decide_continuous keeps the argument order on equal-length curves. The
+# filters before them compare symmetric quantities, and equal_time_upper
+# traverses both curves at once.
+_ORDER_DEPENDENT_STAGES = ("greedy", "negative-filter", "full-verify")
+
+
+class _DecideOnce:
+    """Decides each unordered pair of one dataset's curves once.
+
+    The first side to select a pair runs the cascade, reading simplified
+    copies from one store. The other side reuses that outcome when it was
+    settled before the order-dependent stages, and otherwise re-runs only
+    verify_heur in its own argument order, which is what its own cascade
+    would reach. Either way each side gets the outcome verify would give
+    it.
+    """
+
+    def __init__(self, cfg: QueryConfig):
+        self.r, self.eps_list = cfg.r, cfg.eps_list
+        self.copies = SimplifiedCopies()
+        self.first: dict[tuple[int, int], VerificationOutcome] = {}
+        self.cascade_runs = 0
+        self.heur_reruns = 0
+
+    def __call__(self, p: Curve, q: Curve) -> VerificationOutcome:
+        out = self.first.pop((q.id, p.id), None)
+        if out is None:
+            self.cascade_runs += 1
+            out = self.first[(p.id, q.id)] = verify(p, q, self.r, self.eps_list, self.copies)
+        elif out.stage in _ORDER_DEPENDENT_STAGES:
+            self.heur_reruns += 1
+            out = verify_heur(p, q, self.r)
+        return out
 
 
 def self_join(
@@ -231,15 +283,18 @@ def self_join(
 
     A pair is reported when at least one side kept it and neither side
     verified it Far; with tau = 1 every reported pair carries a Near
-    certificate.
+    certificate. Each side's query records the stage and verdict that
+    verify would give in its own argument order, but a pair that both
+    sides select runs the cascade once (see _DecideOnce).
     """
     t0 = time.perf_counter()
     idx = build_index(dataset, params)
     build_seconds = time.perf_counter() - t0
+    decide = _DecideOnce(cfg)
 
     def run(c: Curve) -> QueryRecord:
         tq = time.perf_counter()
-        res = range_query(idx, dataset, c, cfg, exclude_id=c.id)
+        res = range_query(idx, dataset, c, cfg, exclude_id=c.id, decide=decide)
         return QueryRecord(c.id, res, time.perf_counter() - tq)
 
     t1 = time.perf_counter()
@@ -251,17 +306,28 @@ def self_join(
     decided: dict[tuple[int, int], tuple[str, str]] = {}
     removed: set[tuple[int, int]] = set()
     positive: set[tuple[int, int]] = set()
+    candidates = selected = 0
     for rec in records:
+        candidates += rec.result.candidates
         for dec in rec.result.kept + rec.result.rejected:
             pair = _norm_pair((rec.query_id, dec.curve_id))
             if dec.verdict == "unverified":
                 decided.setdefault(pair, ("unverified-positive", "unverified"))
-            elif decided.get(pair, (None, "unverified"))[1] == "unverified":
-                decided[pair] = (dec.stage, dec.verdict)
+            else:
+                selected += 1
+                if decided.get(pair, (None, "unverified"))[1] == "unverified":
+                    decided[pair] = (dec.stage, dec.verdict)
             (removed if dec.verdict == "far" else positive).add(pair)
     # a Far verdict from either endpoint is authoritative: the cascade
     # agrees with the exact decision, so the other side cannot say Near
     pairs = tuple(sorted(positive - removed))
+    counters = {
+        "candidates": candidates,
+        "selected": selected,
+        "pairs_verified": decide.cascade_runs,
+        "heur_reruns": decide.heur_reruns,
+        "simplified_copies": len(decide.copies),
+    }
 
     rep_metrics = metrics(pairs, truth) if truth is not None else None
     return JoinReport(
@@ -271,20 +337,47 @@ def self_join(
         records,
         pairs,
         decided,
+        counters,
         rep_metrics,
         build_seconds,
         query_seconds,
     )
 
 
+# Relative slack of the array endpoint test: np.linalg.norm over rows and
+# over one vector may round a distance differently by an ulp, so the array
+# test only drops pairs that endpoints_filter surely rejects.
+_ENDPOINT_SLACK = 1e-9
+
+
 def exact_join(dataset: Dataset, r: float, eps_list=DEFAULT_EPS_LIST) -> tuple:
-    """All unordered pairs within continuous Frechet distance r (ground truth)."""
+    """All unordered pairs within continuous Frechet distance r (ground truth).
+
+    Each row of pairs (i, j > i) is first tested as arrays: the bounding-box
+    corner gaps with bbox_filter's exact arithmetic, the endpoint distances
+    with a relative slack of _ENDPOINT_SLACK. Only the pairs that pass go
+    through verify, which makes the final call, with one store of
+    simplified copies for the whole call.
+    """
     check_positive("r", r)
+    copies = SimplifiedCopies()
+    firsts = np.array([c.vertices[0] for c in dataset])
+    lasts = np.array([c.vertices[-1] for c in dataset])
+    boxes = [bounding_box(c) for c in dataset]
+    lower = np.array([b.lower for b in boxes])
+    upper = np.array([b.upper for b in boxes])
+    r_end = r * (1.0 + _ENDPOINT_SLACK)
     out = []
-    for i in range(dataset.n):
+    for i in range(dataset.n - 1):
+        passed = (
+            (np.linalg.norm(firsts[i + 1:] - firsts[i], axis=1) <= r_end)
+            & (np.linalg.norm(lasts[i + 1:] - lasts[i], axis=1) <= r_end)
+            & (np.abs(lower[i + 1:] - lower[i]).max(axis=1) <= r)
+            & (np.abs(upper[i + 1:] - upper[i]).max(axis=1) <= r)
+        )
         p = dataset[i]
-        for j in range(i + 1, dataset.n):
-            if verify(p, dataset[j], r, eps_list).verdict is Verdict.NEAR:
+        for j in (np.flatnonzero(passed) + (i + 1)).tolist():
+            if verify(p, dataset[j], r, eps_list, copies).verdict is Verdict.NEAR:
                 out.append((i, j))
     return tuple(out)
 
@@ -344,7 +437,14 @@ def stage_histogram(report: JoinReport) -> dict:
 
 
 def summary_dict(report: JoinReport) -> dict:
-    """JSON-ready summary; volatile values live only under "timings"."""
+    """JSON-ready summary; volatile values live only under "timings".
+
+    "counters" holds the join's deterministic work counts: candidates and
+    selected (summed over the queries, so a pair counts once per side),
+    pairs_verified (cascade runs), heur_reruns (verify_heur re-runs by a
+    pair's second side) and simplified_copies (copies built in the join's
+    store).
+    """
     p, cfg = report.params, report.config
     out = {
         "n_curves": report.n_curves,
@@ -366,6 +466,7 @@ def summary_dict(report: JoinReport) -> dict:
         },
         "predicted_pairs": len(report.pairs),
         "stage_histogram": stage_histogram(report),
+        "counters": dict(report.counters),
         "timings": {
             "build_seconds": report.build_seconds,
             "query_seconds": report.query_seconds,

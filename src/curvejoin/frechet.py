@@ -23,6 +23,7 @@ from .curves import Curve, bounding_box, check_positive, simplify
 
 __all__ = [
     "SimplVerifyParams",
+    "SimplifiedCopies",
     "Verdict",
     "VerificationOutcome",
     "bbox_filter",
@@ -537,15 +538,43 @@ class SimplVerifyParams:
         return cls(eps, r, r_prime, mu_minus, mu_plus, r_minus, r_plus)
 
 
-def verify_simpl(p: Curve, q: Curve, r: float, eps: float) -> VerificationOutcome:
+class SimplifiedCopies:
+    """The simplified copies of one dataset's curves, each built on its first
+    use and kept.
+
+    A copy is keyed by (curve id, mu), and the budgets mu depend only on r
+    and eps, so one store serves a whole join at one (r, eps_list). Ids are
+    only unique within a dataset: pass a store only curves of the dataset
+    it was made for.
+    """
+
+    def __init__(self):
+        self._copies: dict[tuple[int, float], Curve] = {}
+
+    def __len__(self) -> int:
+        return len(self._copies)
+
+    def get(self, c: Curve, mu: float) -> Curve:
+        key = (c.id, mu)
+        copy = self._copies.get(key)
+        if copy is None:
+            copy = self._copies[key] = simplify(c, mu)
+        return copy
+
+
+def verify_simpl(
+    p: Curve, q: Curve, r: float, eps: float, copies: SimplifiedCopies | None = None
+) -> VerificationOutcome:
     """Decide via simplified copies when the error budget allows; the
-    verdict may be Unknown when neither check succeeds."""
+    verdict may be Unknown when neither check succeeds. The copies come
+    from `copies` when given, else each curve is simplified here."""
     par = SimplVerifyParams.for_radius(r, eps)
     stage = f"simpl-{eps:g}"
-    coarse = verify_heur(simplify(p, par.mu_minus), simplify(q, par.mu_minus), par.r_minus)
+    copy = simplify if copies is None else copies.get
+    coarse = verify_heur(copy(p, par.mu_minus), copy(q, par.mu_minus), par.r_minus)
     if coarse.verdict is Verdict.FAR:
         return VerificationOutcome(Verdict.FAR, stage)
-    fine = verify_heur(simplify(p, par.mu_plus), simplify(q, par.mu_plus), par.r_plus)
+    fine = verify_heur(copy(p, par.mu_plus), copy(q, par.mu_plus), par.r_plus)
     if fine.verdict is Verdict.NEAR:
         return VerificationOutcome(Verdict.NEAR, stage)
     return VerificationOutcome(Verdict.UNKNOWN, stage)
@@ -559,10 +588,12 @@ def verify(
     q: Curve,
     r: float,
     eps_list: tuple[float, ...] = DEFAULT_EPS_LIST,
+    copies: SimplifiedCopies | None = None,
 ) -> VerificationOutcome:
     """The full decision cascade: endpoints, bounding boxes, simplified
     checks from coarsest to finest, then the heuristics with exact
-    fallback. Always returns Near or Far."""
+    fallback. Always returns Near or Far. With `copies`, both curves'
+    simplified copies are read from that store (see SimplifiedCopies)."""
     _check_radius(r)
     check_eps_list(eps_list)
     out = endpoints_filter(p, q, r)
@@ -573,7 +604,7 @@ def verify(
         return out
     if r > 0:
         for eps in eps_list:
-            out = verify_simpl(p, q, r, eps)
+            out = verify_simpl(p, q, r, eps, copies)
             if out.verdict is not Verdict.UNKNOWN:
                 return out
     return verify_heur(p, q, r)

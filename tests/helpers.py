@@ -6,7 +6,20 @@ import math
 
 import numpy as np
 
-from curvejoin import Curve, Dataset, ScoredCandidate, discrete_frechet
+from curvejoin import (
+    Curve,
+    Dataset,
+    JoinReport,
+    QueryRecord,
+    ScoredCandidate,
+    Verdict,
+    build_index,
+    discrete_frechet,
+    metrics,
+    range_query,
+    verify,
+)
+from curvejoin.frechet import DEFAULT_EPS_LIST
 
 
 def curve1(cid: int, values) -> Curve:
@@ -97,6 +110,32 @@ def _eval(V: np.ndarray, u: float) -> np.ndarray:
 
 def dataset_of(curves) -> Dataset:
     return Dataset(list(curves))
+
+
+def walk_families(rng, families: int, d: int, r: float = 1.0, m: int = 8,
+                  amps=(0.3, 0.7, 1.0, 1.3), half_grid: bool = False,
+                  repeats: bool = False) -> Dataset:
+    """Families of random walks 100r apart: a walk plus copies moved by up
+    to each of amps times r, so the pair distances straddle r.
+
+    half_grid rounds every vertex to a multiple of r/2, and repeats doubles
+    a random vertex of each curve; both make equal vertex distances, which
+    tie greedy_upper's moves and put pairs at distance exactly r.
+    """
+    curves = []
+    for f in range(families):
+        start = np.zeros(d)
+        start[0] = 100.0 * r * f
+        walk = random_walk_curve(rng, 0, m, d, step=0.5 * r, start=start)
+        for c in [walk] + [perturbed_copy(rng, walk, 0, a * r) for a in amps]:
+            v = c.vertices
+            if half_grid:
+                v = np.round(v * (2.0 / r)) * (r / 2.0)
+            if repeats:
+                k = int(rng.integers(len(v)))
+                v = np.insert(v, k, v[k], axis=0)
+            curves.append(Curve(len(curves), v))
+    return Dataset(curves)
 
 
 def clustered_dataset(rng, clusters: int, per_cluster: int, d: int, r: float,
@@ -418,3 +457,46 @@ def negative_filter_far_scalar(p: Curve, q: Curve, r: float) -> bool:
     """Oracle: True when the scalar scan certifies Far in either direction."""
     return not (monotone_position_scan_scalar(p.vertices, q.vertices, r)
                 and monotone_position_scan_scalar(q.vertices, p.vertices, r))
+
+
+# ---------------------------------------------------------------------------
+# Oracles for the self join and the exact join in curvejoin.engine: the
+# two-sided join, in which each side's range query runs its own cascade on
+# every candidate it selects, and the exact join as one verify per pair.
+
+
+def self_join_two_sided(dataset: Dataset, params, cfg, truth=None):
+    """Oracle: one range query per curve, each verifying its own selected
+    candidates through verify, merged exactly as engine.self_join merges."""
+    from curvejoin.engine import JoinReport, metrics, range_query
+    from curvejoin.lsh import build_index
+
+    idx = build_index(dataset, params)
+    records = tuple(
+        QueryRecord(c.id, range_query(idx, dataset, c, cfg, exclude_id=c.id), 0.0)
+        for c in dataset)
+    decided: dict = {}
+    removed: set = set()
+    positive: set = set()
+    for rec in records:
+        for dec in rec.result.kept + rec.result.rejected:
+            pair = (min(rec.query_id, dec.curve_id), max(rec.query_id, dec.curve_id))
+            if dec.verdict == "unverified":
+                decided.setdefault(pair, ("unverified-positive", "unverified"))
+            elif decided.get(pair, (None, "unverified"))[1] == "unverified":
+                decided[pair] = (dec.stage, dec.verdict)
+            (removed if dec.verdict == "far" else positive).add(pair)
+    pairs = tuple(sorted(positive - removed))
+    rep_metrics = metrics(pairs, truth) if truth is not None else None
+    return JoinReport(dataset.n, params, cfg, records, pairs, decided, {},
+                      rep_metrics, 0.0, 0.0)
+
+
+def exact_join_per_pair(dataset: Dataset, r: float, eps_list=DEFAULT_EPS_LIST) -> tuple:
+    """Oracle: every unordered pair through verify, one pair at a time."""
+    out = []
+    for i in range(dataset.n):
+        for j in range(i + 1, dataset.n):
+            if verify(dataset[i], dataset[j], r, eps_list).verdict is Verdict.NEAR:
+                out.append((i, j))
+    return tuple(out)

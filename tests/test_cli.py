@@ -151,6 +151,36 @@ class TestSelfJoinCmd:
         assert code == 2
         assert err.startswith("error:")
 
+    def test_densify_past_the_vertex_cap_exits_2_without_outputs(
+            self, tmp_path, capsys):
+        demo = tmp_path / "demo.txt"  # the README demo
+        demo.write_text("0.0,1.0,2.0\n0.05,1.05,2.05\n8.0,9.0,10.0\n")
+        outs = [tmp_path / name for name in ("s.json", "q.jsonl", "p.csv")]
+        code, out, err = run(
+            ["self-join", "--data", str(demo), "--radius", "0.5", "--L", "16",
+             "--tau", "1", "--densify", "1e-9",
+             "--out-summary", str(outs[0]), "--out-queries", str(outs[1]),
+             "--out-pairs", str(outs[2])], capsys)
+        assert code == 2
+        assert err.startswith("error:") and "densify" in err
+        assert out == ""
+        assert not any(path.exists() for path in outs)
+
+    def test_counters_block_is_stable_across_reruns_and_threads(
+            self, series_path, tmp_path, capsys):
+        blocks = []
+        for threads in ("1", "4", "1"):
+            code, out, _ = run(
+                ["self-join", "--data", series_path, "--radius", RADIUS,
+                 "--L", "64", "--tau", "0.5", "--seed", "3",
+                 "--threads", threads, "--no-timings"], capsys)
+            assert code == 0
+            blocks.append(json.dumps(json.loads(out)["counters"]))
+        assert blocks[0] == blocks[1] == blocks[2]
+        assert list(json.loads(blocks[0])) == [
+            "candidates", "selected", "pairs_verified", "heur_reruns",
+            "simplified_copies"]
+
     def test_percentile_radius_resolves(self, series_path, capsys):
         code, out, _ = run(
             ["self-join", "--data", series_path, "--percentile", "1",

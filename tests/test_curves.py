@@ -16,6 +16,7 @@ from curvejoin import (
     write_series_1d,
     write_trajectories_2d,
 )
+from curvejoin.curves import DENSIFY_MAX_VERTICES
 from helpers import curve, curve1, random_walk_curve
 
 
@@ -159,6 +160,20 @@ class TestDensify:
     def test_non_finite_max_edge_rejected(self, max_edge):
         with pytest.raises(ValueError, match="max_edge"):
             densify(curve1(0, [0.0, 1.0]), max_edge)
+
+    def test_output_up_to_the_cap_is_made(self):
+        # DENSIFY_MAX_VERTICES - 1 unit edges: exactly the cap
+        c = curve1(0, [0.0, float(DENSIFY_MAX_VERTICES - 1)])
+        assert len(densify(c, 1.0)) == DENSIFY_MAX_VERTICES
+
+    @pytest.mark.parametrize("values, max_edge", [
+        ([0.0, float(DENSIFY_MAX_VERTICES)], 1.0),  # one vertex past the cap
+        ([0.0, 1.0, 2.0], 1e-9),
+        ([0.0, 1.0], 5e-324),  # the length ratio overflows to inf
+    ])
+    def test_output_past_the_cap_is_refused(self, values, max_edge):
+        with pytest.raises(ValueError, match="more than"):
+            densify(curve1(0, values), max_edge)
 
 
 class TestSeriesFormat:

@@ -21,15 +21,19 @@ from curvejoin.engine import (
     stage_histogram,
     summary_dict,
 )
-from curvejoin.frechet import decide_continuous
+from curvejoin.frechet import Verdict, decide_continuous, endpoints_filter
 from curvejoin.lsh import LshParams, build_index
 
 from helpers import (
     clustered_dataset,
+    curve,
     curve1,
     dataset_of,
+    exact_join_per_pair,
     perturbed_copy,
     random_walk_curve,
+    self_join_two_sided,
+    walk_families,
 )
 
 
@@ -417,3 +421,130 @@ class TestSerialization:
         assert s["total_pairs"] == data.n * (data.n - 1) // 2
         assert s["predicted_pairs"] == len(report.pairs)
         assert sum(s["stage_histogram"].values()) == s["total_pairs"]
+
+
+# Walk-family sets for the differential tests: (half_grid, repeats). The
+# half-grid and repeated-vertex sets tie greedy_upper's moves and put pairs
+# at distance exactly r.
+FAMILY_VARIANTS = {
+    "plain": (False, False),
+    "half-grid": (True, False),
+    "repeats": (False, True),
+    "half-grid-repeats": (True, True),
+}
+
+
+def family_join(seed, d, variant, tau):
+    half_grid, repeats = FAMILY_VARIANTS[variant]
+    data = walk_families(np.random.default_rng(seed), 4, d,
+                         half_grid=half_grid, repeats=repeats)
+    cfg = QueryConfig(r=1.0, tau=tau, grid_factor=16.0)
+    return data, cfg, make_params(data, cfg, k=1, L=16, seed=seed)
+
+
+def query_rows(report):
+    return [json.dumps(strip_timings(row)) for row in query_record_dicts(report)]
+
+
+def selected_pairs(report):
+    return {(min(rec.query_id, dec.curve_id), max(rec.query_id, dec.curve_id))
+            for rec in report.queries
+            for dec in rec.result.kept + rec.result.rejected
+            if dec.verdict != "unverified"}
+
+
+class TestSelfJoinDecidesOnce:
+    @pytest.mark.parametrize("tau", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("variant", sorted(FAMILY_VARIANTS))
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_reports_equal_the_two_sided_oracle(self, d, variant, tau):
+        for seed in range(2):
+            data, cfg, params = family_join(seed, d, variant, tau)
+            got = self_join(data, params, cfg)
+            want = self_join_two_sided(data, params, cfg)
+            assert got.pairs == want.pairs
+            assert got.decided == want.decided
+            assert stage_histogram(got) == stage_histogram(want)
+            assert query_rows(got) == query_rows(want)
+
+    def test_corpus_reaches_order_dependent_stages(self):
+        # some pairs get a different stage from each side, so reusing the
+        # first side's outcome for them would change the query rows
+        differ = reruns = 0
+        for seed in range(2):
+            for d in (1, 2):
+                data, cfg, params = family_join(seed, d, "half-grid-repeats", 1.0)
+                report = self_join_two_sided(data, params, cfg)
+                stages: dict = {}
+                for rec in report.queries:
+                    for dec in rec.result.kept + rec.result.rejected:
+                        pair = (min(rec.query_id, dec.curve_id),
+                                max(rec.query_id, dec.curve_id))
+                        stages.setdefault(pair, set()).add(dec.stage)
+                differ += sum(len(s) > 1 for s in stages.values())
+                reruns += self_join(data, params, cfg).counters["heur_reruns"]
+        assert differ > 0
+        assert reruns >= differ
+
+
+class TestJoinCounters:
+    @pytest.mark.parametrize("tau", [0.0, 0.5, 1.0])
+    def test_counts_match_the_query_records(self, tau):
+        for d in (1, 2):
+            data, cfg, params = family_join(3, d, "half-grid", tau)
+            report = self_join(data, params, cfg)
+            c = report.counters
+            decisions = [dec for rec in report.queries
+                         for dec in rec.result.kept + rec.result.rejected]
+            assert c["candidates"] == len(decisions)
+            assert c["selected"] == sum(dec.verdict != "unverified"
+                                        for dec in decisions)
+            assert c["pairs_verified"] == len(selected_pairs(report))
+            assert c["heur_reruns"] <= c["selected"] - c["pairs_verified"]
+            assert c["simplified_copies"] <= data.n * 2 * len(cfg.eps_list)
+            if tau == 0.0:
+                assert c["pairs_verified"] == c["simplified_copies"] == 0
+
+    def test_summary_block_sits_outside_timings_and_repeats(self):
+        data, truth, cfg, params = small_join_setup(tau=0.5)
+        s1 = summary_dict(self_join(data, params, cfg))
+        s2 = summary_dict(self_join(data, params, cfg))
+        assert "counters" not in s1["timings"]
+        assert json.dumps(s1["counters"]) == json.dumps(s2["counters"])
+        assert s1["counters"]["pairs_verified"] > 0
+
+
+class TestExactJoinPrefilter:
+    @pytest.mark.parametrize("variant", sorted(FAMILY_VARIANTS))
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_equals_the_per_pair_oracle(self, d, variant):
+        data, cfg, _ = family_join(5, d, variant, 1.0)
+        assert exact_join(data, cfg.r) == exact_join_per_pair(data, cfg.r)
+
+    def test_clustered_set_equals_the_per_pair_oracle(self):
+        data, truth, cfg, params = small_join_setup(seed=4, d=1)
+        assert exact_join(data, cfg.r) == exact_join_per_pair(data, cfg.r)
+
+    def test_gaps_of_exactly_r_pass_to_verify(self):
+        # translated segments on the unit grid: endpoint distances and
+        # bbox-corner gaps of exactly r = 1 between neighbours
+        data = dataset_of([curve(3 * x + y, [[x, y], [x + 2.0, y], [x + 2.0, y + 0.5]])
+                           for x in range(3) for y in range(3)])
+        got = exact_join(data, 1.0)
+        assert got == exact_join_per_pair(data, 1.0)
+        assert (0, 1) in got and (0, 3) in got and (0, 4) not in got
+
+    def test_endpoint_distance_knife_edge_equals_the_oracle(self):
+        # copies shifted along one direction by a step whose length is r as
+        # endpoints_filter rounds it: the array norm may differ by an ulp
+        rng = np.random.default_rng(8)
+        knife = 0
+        for _ in range(20):
+            base = random_walk_curve(rng, 0, 5, 2)
+            step = rng.normal(size=2)
+            data = dataset_of([Curve(k, base.vertices + k * step) for k in range(4)])
+            r = float(np.linalg.norm(data[1].vertices[0] - data[0].vertices[0]))
+            knife += sum(endpoints_filter(data[k], data[k + 1], r).verdict is not Verdict.FAR
+                         for k in range(3))
+            assert exact_join(data, r) == exact_join_per_pair(data, r)
+        assert knife > 0
