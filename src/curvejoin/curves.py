@@ -129,6 +129,19 @@ class BoundingBox:
     upper: np.ndarray
 
 
+def _dist(a, b) -> float:
+    """Euclidean distance of two points given as sequences of floats: the
+    square root of the squared coordinate differences, added in coordinate
+    order. Python floats round +, -, * and sqrt as numpy's elementwise
+    ufuncs do, so array code that sums the same terms in the same order
+    gets the same bits."""
+    s = 0.0
+    for x, y in zip(a, b):
+        t = x - y
+        s += t * t
+    return math.sqrt(s)
+
+
 def bounding_box(p: Curve) -> BoundingBox:
     """Exact coordinate-wise min/max over the curve's vertices."""
     return BoundingBox(p.vertices.min(axis=0), p.vertices.max(axis=0))
@@ -152,17 +165,17 @@ def simplify(p: Curve, mu: float) -> Curve:
     With mu = 0 this drops consecutive duplicates (endpoints kept).
     """
     check_positive("mu", mu, allow_zero=True)
-    v = p.vertices
-    m = len(v)
+    pts = p.vertices.tolist()
+    m = len(pts)
     kept = [0]
-    cur = 0
+    cur = pts[0]
     for i in range(1, m):
-        if np.linalg.norm(v[i] - v[cur]) > mu:
+        if _dist(pts[i], cur) > mu:
             kept.append(i)
-            cur = i
-    if cur != m - 1:
+            cur = pts[i]
+    if kept[-1] != m - 1:
         kept.append(m - 1)
-    return Curve(p.id, v[kept])
+    return Curve(p.id, p.vertices[kept])
 
 
 # The most vertices densify makes of one curve (16 MB of 2-d vertices).
@@ -183,9 +196,9 @@ def densify(p: Curve, max_edge: float) -> Curve:
         return p
     # An edge of length <= max_edge has a ratio <= 1 and stays whole; the
     # clamp keeps an overflowing ratio (inf) away from ceil.
-    nsegs = [max(1, math.ceil(min(float(np.linalg.norm(b - a)) / max_edge,
-                                  DENSIFY_MAX_VERTICES)))
-             for a, b in zip(v[:-1], v[1:])]
+    pts = v.tolist()
+    nsegs = [max(1, math.ceil(min(_dist(b, a) / max_edge, DENSIFY_MAX_VERTICES)))
+             for a, b in zip(pts[:-1], pts[1:])]
     total = 1 + sum(nsegs)
     if total > DENSIFY_MAX_VERTICES:
         raise ValueError(

@@ -344,20 +344,24 @@ def self_join(
     )
 
 
-# Relative slack of the array endpoint test: np.linalg.norm over rows and
-# over one vector may round a distance differently by an ulp, so the array
-# test only drops pairs that endpoints_filter surely rejects.
-_ENDPOINT_SLACK = 1e-9
+def _later_row_dists(X: np.ndarray, i: int) -> np.ndarray:
+    """Distances from row i of X to every later row, each bit-identical to
+    curves._dist: squared coordinate differences summed column by column."""
+    diff = X[i + 1:] - X[i]
+    sq = diff[:, 0] * diff[:, 0]
+    for u in range(1, X.shape[1]):
+        sq = sq + diff[:, u] * diff[:, u]
+    return np.sqrt(sq)
 
 
 def exact_join(dataset: Dataset, r: float, eps_list=DEFAULT_EPS_LIST) -> tuple:
     """All unordered pairs within continuous Frechet distance r (ground truth).
 
     Each row of pairs (i, j > i) is first tested as arrays: the bounding-box
-    corner gaps with bbox_filter's exact arithmetic, the endpoint distances
-    with a relative slack of _ENDPOINT_SLACK. Only the pairs that pass go
-    through verify, which makes the final call, with one store of
-    simplified copies for the whole call.
+    corner gaps with bbox_filter's arithmetic, the endpoint distances with
+    endpoints_filter's, so the arrays drop exactly the pairs those filters
+    reject. Only the pairs that pass go through verify, which makes the
+    final call, with one store of simplified copies for the whole call.
     """
     check_positive("r", r)
     copies = SimplifiedCopies()
@@ -366,12 +370,11 @@ def exact_join(dataset: Dataset, r: float, eps_list=DEFAULT_EPS_LIST) -> tuple:
     boxes = [bounding_box(c) for c in dataset]
     lower = np.array([b.lower for b in boxes])
     upper = np.array([b.upper for b in boxes])
-    r_end = r * (1.0 + _ENDPOINT_SLACK)
     out = []
     for i in range(dataset.n - 1):
         passed = (
-            (np.linalg.norm(firsts[i + 1:] - firsts[i], axis=1) <= r_end)
-            & (np.linalg.norm(lasts[i + 1:] - lasts[i], axis=1) <= r_end)
+            (_later_row_dists(firsts, i) <= r)
+            & (_later_row_dists(lasts, i) <= r)
             & (np.abs(lower[i + 1:] - lower[i]).max(axis=1) <= r)
             & (np.abs(upper[i + 1:] - upper[i]).max(axis=1) <= r)
         )

@@ -6,6 +6,16 @@ decision procedure for the continuous distance, cheap one-sided filters
 position scan), a simplification-based pre-check with error budgets, and
 the cascade that combines them into a decisive Near/Far answer.
 
+The cascade's one-sided steps run on Python floats (`tolist()` vertices):
+on curves of a few dozen vertices numpy's per-call overhead costs more
+than the arithmetic. Every vertex distance is curves._dist, the square
+root of the squared coordinate differences added in coordinate order, and
+the array code that shares a test with it (decide_continuous's block
+window kernel, exact_join's endpoint arrays) sums in the same order, so
+the two agree bit for bit. The negative filter is a lazy scan, O(m + n)
+edge windows per direction; the block window kernel serves only
+decide_continuous, where a wide band visits many cells per row.
+
 All comparisons against the radius are exact floating-point comparisons;
 a pair at distance exactly r counts as Near. Every function here is a
 pure function of its inputs.
@@ -19,7 +29,7 @@ from enum import Enum
 
 import numpy as np
 
-from .curves import Curve, bounding_box, check_positive, simplify
+from .curves import Curve, _dist, bounding_box, check_positive, simplify
 
 __all__ = [
     "SimplVerifyParams",
@@ -65,8 +75,15 @@ def _check_dims(p: Curve, q: Curve) -> None:
         raise ValueError(f"dimension mismatch: {p.dim} vs {q.dim}")
 
 
-def _dist(a: np.ndarray, b: np.ndarray) -> float:
-    return float(np.linalg.norm(a - b))
+def _check_radius(r: float) -> None:
+    check_positive("radius", r, allow_zero=True)
+
+
+def _check_pair(p: Curve, q: Curve, r: float) -> None:
+    """The input check of every public cascade step: equal dimensions and a
+    finite radius >= 0."""
+    _check_dims(p, q)
+    _check_radius(r)
 
 
 # ---------------------------------------------------------------------------
@@ -117,6 +134,9 @@ def _ball_windows(starts, deltas, points, r: float) -> tuple[np.ndarray, np.ndar
     minors); the naive b^2 - 4ac form cancels catastrophically when w is
     nearly parallel to delta and r is small. Sums run over the coordinates
     in order, so each window is bit-identical whatever the block shape.
+    decide_continuous is this block kernel's one caller: its wide bands
+    visit many cells per row. The negative filter's lazy scan computes
+    one window at a time with the scalar twin _ball_window.
     """
     w = [s - x for s, x in zip(starts, points)]
     d = len(w)
@@ -155,14 +175,42 @@ def _coords(V: np.ndarray) -> list[np.ndarray]:
     return [np.ascontiguousarray(V[:, u]) for u in range(V.shape[1])]
 
 
-def _point_curve_within(a: np.ndarray, Q: np.ndarray, r: float) -> bool:
-    # max distance from a point to a polyline is attained at a vertex
-    diff = Q - a
-    return bool(np.sqrt((diff * diff).sum(axis=1)).max() <= r)
+def _ball_window(start, end, point, r: float) -> tuple[float, float]:
+    """The window of one edge, start to end, within r of one point, all as
+    float sequences: _ball_windows' arithmetic, operation for operation."""
+    w = [s - x for s, x in zip(start, point)]
+    delta = [e - s for s, e in zip(start, end)]
+    aa = delta[0] * delta[0]
+    wd = w[0] * delta[0]
+    d = len(w)
+    for u in range(1, d):
+        aa = aa + delta[u] * delta[u]
+        wd = wd + w[u] * delta[u]
+    if aa == 0.0:
+        ww = w[0] * w[0]
+        for u in range(1, d):
+            ww = ww + w[u] * w[u]
+        return (0.0, 1.0) if ww <= r * r else (math.inf, -math.inf)
+    gram = 0.0
+    for u in range(d):
+        for v in range(u + 1, d):
+            minor = delta[u] * w[v] - delta[v] * w[u]
+            gram = gram + minor * minor
+    disc = aa * (r * r) - gram
+    if not disc >= 0.0:
+        return math.inf, -math.inf
+    sq = math.sqrt(disc)
+    nwd = -wd
+    # np.maximum and np.minimum, NaN and the sign of zero included
+    lo = (nwd - sq) / aa
+    hi = (nwd + sq) / aa
+    return 0.0 if lo <= 0.0 else lo, 1.0 if hi >= 1.0 else hi
 
 
-def _check_radius(r: float) -> None:
-    check_positive("radius", r, allow_zero=True)
+def _point_curve_within(a, Q, r: float) -> bool:
+    """Whether every vertex of Q (float sequences) is within r of point a;
+    the largest distance from a point to a polyline is at a vertex."""
+    return all(_dist(a, b) <= r for b in Q)
 
 
 def check_eps_list(eps_list) -> None:
@@ -187,15 +235,14 @@ def decide_continuous(p: Curve, q: Curve, r: float) -> bool:
     O(block * min(|p|, |q|)); numpy does O(|p|*|q|) arithmetic, Python
     visits only the reachable band's cells.
     """
-    _check_dims(p, q)
-    _check_radius(r)
+    _check_pair(p, q, r)
     P, Q = p.vertices, q.vertices
-    if _dist(P[0], Q[0]) > r or _dist(P[-1], Q[-1]) > r:
+    if max(_endpoint_dists(P, Q)) > r:
         return False
     if len(P) == 1:
-        return _point_curve_within(P[0], Q, r)
+        return _point_curve_within(P[0].tolist(), Q.tolist(), r)
     if len(Q) == 1:
-        return _point_curve_within(Q[0], P, r)
+        return _point_curve_within(Q[0].tolist(), P.tolist(), r)
     if len(Q) > len(P):
         P, Q = Q, P  # rows run along the longer curve
 
@@ -315,7 +362,7 @@ def estimate_continuous(
     """
     check_positive("rel_tol", rel_tol)
     _check_dims(p, q)
-    lo = max(_dist(p.vertices[0], q.vertices[0]), _dist(p.vertices[-1], q.vertices[-1]))
+    lo = max(_endpoint_dists(p.vertices, q.vertices))
     hi = discrete_frechet(p, q)
     if hi > lo and decide_continuous(p, q, lo):
         hi = lo
@@ -343,12 +390,16 @@ def estimate_continuous(
 # One-sided filters and heuristics
 
 
+def _endpoint_dists(P: np.ndarray, Q: np.ndarray) -> tuple[float, float]:
+    """The distances of the first and of the last vertices of two arrays."""
+    (p0, p1), (q0, q1) = P[[0, -1]].tolist(), Q[[0, -1]].tolist()
+    return _dist(p0, q0), _dist(p1, q1)
+
+
 def endpoints_filter(p: Curve, q: Curve, r: float) -> VerificationOutcome:
     """Far when either endpoint pair is farther than r; never Near."""
-    if (
-        _dist(p.vertices[0], q.vertices[0]) > r
-        or _dist(p.vertices[-1], q.vertices[-1]) > r
-    ):
+    _check_pair(p, q, r)
+    if max(_endpoint_dists(p.vertices, q.vertices)) > r:
         return VerificationOutcome(Verdict.FAR, "endpoints")
     return VerificationOutcome(Verdict.UNKNOWN, "endpoints")
 
@@ -356,6 +407,7 @@ def endpoints_filter(p: Curve, q: Curve, r: float) -> VerificationOutcome:
 def bbox_filter(p: Curve, q: Curve, r: float) -> VerificationOutcome:
     """Far when corresponding bounding-box corners differ by more than r
     in any single coordinate; never Near."""
+    _check_pair(p, q, r)
     bp, bq = bounding_box(p), bounding_box(q)
     if (
         np.abs(bp.lower - bq.lower).max() > r
@@ -365,13 +417,14 @@ def bbox_filter(p: Curve, q: Curve, r: float) -> VerificationOutcome:
     return VerificationOutcome(Verdict.UNKNOWN, "bbox")
 
 
-def _curve_at(V: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Evaluate a polyline at fractional vertex indices (vectorized)."""
+def _point_at(V: list, u: float) -> list:
+    """The point of a polyline (a list of float sequences) at fractional
+    vertex index u: V[i] + (u - i) * (V[i + 1] - V[i]) on the edge i holding u."""
     if len(V) == 1:
-        return np.broadcast_to(V[0], (len(u), V.shape[1]))
-    i0 = np.clip(np.floor(u).astype(np.int64), 0, len(V) - 2)
-    frac = (u - i0)[:, None]
-    return V[i0] + frac * (V[i0 + 1] - V[i0])
+        return V[0]
+    i = min(int(u), len(V) - 2)
+    f = u - i
+    return [a + f * (b - a) for a, b in zip(V[i], V[i + 1])]
 
 
 def equal_time_upper(p: Curve, q: Curve, r: float) -> VerificationOutcome:
@@ -379,31 +432,26 @@ def equal_time_upper(p: Curve, q: Curve, r: float) -> VerificationOutcome:
 
     The pair distance is convex between breakpoints of the joint motion,
     so the exact maximum is attained at the union of both curves'
-    normalized breakpoints. Never Far.
+    normalized breakpoints. The walk stops at the first breakpoint farther
+    than r. Never Far.
     """
-    P, Q = p.vertices, q.vertices
+    _check_pair(p, q, r)
+    P, Q = p.vertices.tolist(), q.vertices.tolist()
     mp, mq = len(P) - 1, len(Q) - 1
-    if mp == 0 and mq == 0:
-        u_p = np.array([0.0])
-        u_q = np.array([0.0])
-    elif mp == 0:
-        u_q = np.arange(mq + 1, dtype=np.float64)
-        u_p = np.zeros_like(u_q)
-    elif mq == 0:
-        u_p = np.arange(mp + 1, dtype=np.float64)
-        u_q = np.zeros_like(u_p)
+    if mp == 0 or mq == 0:
+        # a single vertex stays put while the other curve visits its vertices
+        positions = [(float(k) if mp else 0.0, float(k) if mq else 0.0)
+                     for k in range(max(mp, mq) + 1)]
     else:
-        # merge the fractions i/mp and j/mq exactly over denominator mp*mq
-        nums = np.union1d(np.arange(mp + 1, dtype=np.int64) * mq,
-                          np.arange(mq + 1, dtype=np.int64) * mp)
-        u_p = nums / float(mq)
-        u_q = nums / float(mp)
-    diff = _curve_at(P, u_p) - _curve_at(Q, u_q)
-    dmax = float(np.sqrt((diff * diff).sum(axis=1)).max())
-    if dmax <= r:
-        witness = list(zip(u_p.tolist(), u_q.tolist()))
-        return VerificationOutcome(Verdict.NEAR, "equal-time", witness)
-    return VerificationOutcome(Verdict.UNKNOWN, "equal-time")
+        # the fractions i/mp and j/mq, merged exactly over denominator mp*mq
+        nums = sorted({*range(0, mp * mq + 1, mq), *range(0, mp * mq + 1, mp)})
+        positions = ((k / mq, k / mp) for k in nums)
+    witness = []
+    for u_p, u_q in positions:
+        if not _dist(_point_at(P, u_p), _point_at(Q, u_q)) <= r:
+            return VerificationOutcome(Verdict.UNKNOWN, "equal-time")
+        witness.append((u_p, u_q))
+    return VerificationOutcome(Verdict.NEAR, "equal-time", witness)
 
 
 def greedy_upper(p: Curve, q: Curve, r: float) -> VerificationOutcome:
@@ -414,8 +462,8 @@ def greedy_upper(p: Curve, q: Curve, r: float) -> VerificationOutcome:
     then advancing q). A discrete traversal of max distance <= r bounds
     the discrete and hence the continuous distance. Never Far.
     """
-    _check_radius(r)
-    P, Q = p.vertices, q.vertices
+    _check_pair(p, q, r)
+    P, Q = p.vertices.tolist(), q.vertices.tolist()
     m, n = len(P), len(Q)
     i = j = 0
     witness = [(0.0, 0.0)]
@@ -437,55 +485,47 @@ def greedy_upper(p: Curve, q: Curve, r: float) -> VerificationOutcome:
     return VerificationOutcome(Verdict.NEAR, "greedy", witness)
 
 
-def _monotone_position_scan(A: np.ndarray, B: np.ndarray, r: float) -> bool:
-    """True when every vertex of A admits a monotone match on polyline B.
+def _monotone_position_scan(A: list, B: list, r: float) -> bool:
+    """True when every vertex of A admits a monotone match on polyline B
+    (both lists of float sequences).
 
     Maintains the earliest position on B (never decreasing) within r of
     each successive vertex of A; failure certifies that no continuous
-    traversal can align the curves within r. The edge windows come from the
-    block kernel, one block of A's vertices at a time, from the block's
-    first candidate edge on.
+    traversal can align the curves within r. The scan is lazy: a vertex
+    tests the edge holding the current position, then later edges until
+    one matches, and the position never moves back, so one scan computes
+    O(|A| + |B|) edge windows.
     """
     nb = len(B)
     if nb == 1:
         return _point_curve_within(B[0], A, r)
-    Ac, Bc = _coords(A), _coords(B)
-    starts = [c[:-1] for c in Bc]
-    deltas = [c[1:] - c[:-1] for c in Bc]
     cur = 0.0
-    for b in range(0, len(A), _BLOCK):
-        c0 = min(int(cur), nb - 2)
-        lo, hi = _ball_windows([c[None, c0:] for c in starts],
-                               [c[None, c0:] for c in deltas],
-                               [c[b:b + _BLOCK, None] for c in Ac], r)
-        # Per vertex and column, the first edge at or after the column with a
-        # nonempty window (nb - 1 if none).
-        edge = np.where(lo <= hi, np.arange(c0, nb - 1), nb - 1)
-        nxt = np.minimum.accumulate(edge[:, ::-1], axis=1)[:, ::-1]
-        for lo_a, hi_a, nxt_a in zip(lo, hi, nxt):
-            e = min(int(cur), nb - 2)
-            # Only the edge holding cur can clip the window at cur; on any
-            # later edge e + lo > cur, so a nonempty window matches at e + lo.
-            lo_e, hi_e = float(lo_a[e - c0]), float(hi_a[e - c0])
-            if lo_e <= hi_e:
-                start = max(cur, e + lo_e)
-                if start <= e + hi_e:
-                    cur = start
-                    continue
-            e = int(nxt_a[e + 1 - c0]) if e + 1 < nb - 1 else nb - 1
-            if e == nb - 1:
-                return False
-            cur = e + float(lo_a[e - c0])
+    for a in A:
+        e = min(int(cur), nb - 2)
+        # Only the edge holding cur can clip the window at cur; on any later
+        # edge e + lo > cur, so a nonempty window matches at e + lo.
+        lo, hi = _ball_window(B[e], B[e + 1], a, r)
+        if lo <= hi:
+            start = max(cur, e + lo)
+            if start <= e + hi:
+                cur = start
+                continue
+        for e in range(e + 1, nb - 1):
+            lo, hi = _ball_window(B[e], B[e + 1], a, r)
+            if lo <= hi:
+                cur = e + lo
+                break
+        else:
+            return False
     return True
 
 
 def negative_filter(p: Curve, q: Curve, r: float) -> VerificationOutcome:
     """Far when some vertex of one curve has no monotone match on the
     other's polyline; applied in both directions. Never Near."""
-    _check_radius(r)
-    if not _monotone_position_scan(p.vertices, q.vertices, r) or not (
-        _monotone_position_scan(q.vertices, p.vertices, r)
-    ):
+    _check_pair(p, q, r)
+    P, Q = p.vertices.tolist(), q.vertices.tolist()
+    if not _monotone_position_scan(P, Q, r) or not _monotone_position_scan(Q, P, r):
         return VerificationOutcome(Verdict.FAR, "negative-filter")
     return VerificationOutcome(Verdict.UNKNOWN, "negative-filter")
 
@@ -497,7 +537,7 @@ def negative_filter(p: Curve, q: Curve, r: float) -> VerificationOutcome:
 def verify_heur(p: Curve, q: Curve, r: float) -> VerificationOutcome:
     """Run the upper-bound traversals and the negative scan in order,
     falling back to the exact free-space decision: always decisive."""
-    _check_radius(r)
+    _check_pair(p, q, r)
     for step in (equal_time_upper, greedy_upper, negative_filter):
         out = step(p, q, r)
         if out.verdict is not Verdict.UNKNOWN:
@@ -568,6 +608,7 @@ def verify_simpl(
     """Decide via simplified copies when the error budget allows; the
     verdict may be Unknown when neither check succeeds. The copies come
     from `copies` when given, else each curve is simplified here."""
+    _check_pair(p, q, r)
     par = SimplVerifyParams.for_radius(r, eps)
     stage = f"simpl-{eps:g}"
     copy = simplify if copies is None else copies.get

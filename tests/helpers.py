@@ -19,6 +19,7 @@ from curvejoin import (
     range_query,
     verify,
 )
+from curvejoin.curves import _dist
 from curvejoin.frechet import DEFAULT_EPS_LIST
 
 
@@ -334,9 +335,12 @@ def _ball_windows_rows(w: np.ndarray, deltas: np.ndarray, r: float):
 
 
 def decide_continuous_full(p: Curve, q: Curve, r: float) -> bool:
-    """Oracle: the free-space decision swept over every one of the m*n cells."""
+    """Oracle: the free-space decision swept over every one of the m*n cells.
+    The endpoint test uses the library's vertex distance, curves._dist, so
+    the oracle and decide_continuous agree at knife-edge radii."""
     P, Q = p.vertices, q.vertices
-    if np.linalg.norm(P[0] - Q[0]) > r or np.linalg.norm(P[-1] - Q[-1]) > r:
+    if (_dist(P[0].tolist(), Q[0].tolist()) > r
+            or _dist(P[-1].tolist(), Q[-1].tolist()) > r):
         return False
     if len(P) == 1 or len(Q) == 1:
         a, V = (P[0], Q) if len(P) == 1 else (Q[0], P)
@@ -457,6 +461,44 @@ def negative_filter_far_scalar(p: Curve, q: Curve, r: float) -> bool:
     """Oracle: True when the scalar scan certifies Far in either direction."""
     return not (monotone_position_scan_scalar(p.vertices, q.vertices, r)
                 and monotone_position_scan_scalar(q.vertices, p.vertices, r))
+
+
+# ---------------------------------------------------------------------------
+# Oracle for the equal-time traversal: the array evaluation that the walk on
+# Python floats in curvejoin.frechet.equal_time_upper replaces.
+
+
+def _curve_at(V: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Evaluate a polyline at fractional vertex indices (vectorized)."""
+    if len(V) == 1:
+        return np.broadcast_to(V[0], (len(u), V.shape[1]))
+    i0 = np.clip(np.floor(u).astype(np.int64), 0, len(V) - 2)
+    frac = (u - i0)[:, None]
+    return V[i0] + frac * (V[i0 + 1] - V[i0])
+
+
+def equal_time_max_arrays(p: Curve, q: Curve) -> tuple[float, list]:
+    """Oracle: the largest pair distance of the uniform-speed traversal over
+    the merged breakpoints, and the breakpoints as (u_p, u_q) positions."""
+    P, Q = p.vertices, q.vertices
+    mp, mq = len(P) - 1, len(Q) - 1
+    if mp == 0 and mq == 0:
+        u_p = np.array([0.0])
+        u_q = np.array([0.0])
+    elif mp == 0:
+        u_q = np.arange(mq + 1, dtype=np.float64)
+        u_p = np.zeros_like(u_q)
+    elif mq == 0:
+        u_p = np.arange(mp + 1, dtype=np.float64)
+        u_q = np.zeros_like(u_p)
+    else:
+        nums = np.union1d(np.arange(mp + 1, dtype=np.int64) * mq,
+                          np.arange(mq + 1, dtype=np.int64) * mp)
+        u_p = nums / float(mq)
+        u_q = nums / float(mp)
+    diff = _curve_at(P, u_p) - _curve_at(Q, u_q)
+    dmax = float(np.sqrt((diff * diff).sum(axis=1)).max())
+    return dmax, list(zip(u_p.tolist(), u_q.tolist()))
 
 
 # ---------------------------------------------------------------------------

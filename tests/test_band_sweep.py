@@ -1,7 +1,8 @@
-"""Differential tests: the band sweep of decide_continuous and the block
-window kernel behind negative_filter against the slow paths they replace
-(the full m*n sweep and the scalar per-edge scan, kept in helpers as
-oracles). Every boolean must be identical, knife-edge radii included."""
+"""Differential tests: the band sweep of decide_continuous and its block
+window kernel, and the lazy scan of negative_filter and its scalar window,
+against the slow paths they replace (the full m*n sweep and the per-edge
+numpy scan, kept in helpers as oracles). Every boolean must be identical,
+knife-edge radii included."""
 
 import math
 import tracemalloc
@@ -11,14 +12,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from curvejoin import Curve, Verdict, decide_continuous, densify, negative_filter
-from curvejoin.frechet import _ball_windows, discrete_frechet, estimate_continuous
-from curvejoin.curves import longest_edge
+from curvejoin.frechet import (
+    _ball_window,
+    _ball_windows,
+    _monotone_position_scan,
+    discrete_frechet,
+    estimate_continuous,
+)
+from curvejoin.curves import _dist, longest_edge
 
 from helpers import (
     _ball_windows_rows,
     acceptance_corpus,
     curve,
     decide_continuous_full,
+    monotone_position_scan_scalar,
     negative_filter_far_scalar,
     perturbed_copy,
     random_pair,
@@ -69,6 +77,83 @@ def test_kernel_matches_row_windows_bit_for_bit():
                     P[i] - Q, np.broadcast_to(P[i + 1] - P[i], Q.shape), r)
                 np.testing.assert_array_equal(lo[i], want[0])
                 np.testing.assert_array_equal(hi[i], want[1])
+
+
+def kernel_window(start, end, point, r: float) -> tuple[float, float]:
+    """One window from the block kernel, on arrays of one element."""
+    lo, hi = _ball_windows([np.array([s]) for s in start],
+                           [np.array([e - s]) for s, e in zip(start, end)],
+                           [np.array([x]) for x in point], r)
+    return float(lo[0]), float(hi[0])
+
+
+def window_knife_edges(start, end, point) -> list:
+    """Radii at which the window of the edge around the point opens, or
+    reaches an edge end: the distance to each end and to the edge's line,
+    and one ulp either side of each."""
+    delta = np.subtract(end, start)
+    w = np.subtract(start, point)
+    aa = float(delta @ delta)
+    edges = [_dist(start, point), _dist(end, point)]
+    if aa > 0.0:
+        edges.append(math.sqrt(max(float(w @ w) - float(w @ delta) ** 2 / aa, 0.0)))
+    return [x for e in edges for x in (math.nextafter(e, 0.0), e, math.nextafter(e, math.inf))]
+
+
+def assert_same_window(start, end, point, r: float) -> None:
+    # equal as floats: the lo or hi of 0 may differ in the sign of zero only
+    assert _ball_window(start, end, point, r) == kernel_window(start, end, point, r), (
+        start, end, point, r)
+
+
+def test_scalar_window_matches_the_kernel_bit_for_bit():
+    rng = np.random.default_rng(66)
+    for d in (1, 2, 3):
+        B = rng.normal(size=(12, d))
+        B[4] = B[3]  # a zero-length edge
+        A = np.vstack([rng.normal(size=(8, d)), B[:3], (B[6] + B[7]) / 2.0])
+        for e in range(len(B) - 1):
+            start, end = B[e].tolist(), B[e + 1].tolist()
+            for point in A.tolist():
+                for r in [0.0, 0.3, 1.0, 5.0] + window_knife_edges(start, end, point):
+                    assert_same_window(start, end, point, r)
+
+
+def test_scan_on_the_long_pair_equals_the_scalar_oracle():
+    # the 2,400-vertex pair of the memory test: q runs 0.1 above p, shifted
+    # by 0.05, so below r = 0.1118 the first vertex of p matches no edge of
+    # q and its scan runs to the last edge
+    t = np.arange(2400, dtype=np.float64)
+    p = curve(0, np.column_stack([t, np.zeros_like(t)]))
+    q = curve(1, np.column_stack([t + 0.05, np.full_like(t, 0.1)]))
+    corner = _dist([0.0, 0.0], [0.05, 0.1])
+    for r in (0.05, 0.1, math.nextafter(corner, 0.0), corner, 0.2):
+        far = negative_filter(p, q, r).verdict is Verdict.FAR
+        assert far == negative_filter_far_scalar(p, q, r), r
+        assert far or r >= corner, r
+
+
+def test_scans_that_run_to_the_last_edge():
+    # A starts on B, then asks for a point at B's end, just inside or just
+    # outside r of it, or far away: the scan walks on toward B's last edge,
+    # where it matches or fails
+    rng = np.random.default_rng(67)
+    fars = 0
+    for i in range(150):
+        d = 1 + i % 3
+        B = random_walk_curve(rng, 1, int(rng.integers(2, 30)), d).vertices
+        r = float(rng.uniform(0.0, 0.5))
+        off = rng.normal(size=d)
+        off /= np.linalg.norm(off)
+        for tail in (B[-1], B[-1] + off * r * 0.999, B[-1] + off * r * 1.001,
+                     B[-1] + off * 100.0):
+            A = np.vstack([B[:1], tail])
+            got = _monotone_position_scan(A.tolist(), B.tolist(), r)
+            assert got == monotone_position_scan_scalar(A, B, r)
+            fars += not got
+            a, b = Curve(0, A), Curve(1, B)
+            assert_same(a, b, r)
+    assert fars > 150
 
 
 def test_acceptance_corpus():
@@ -183,3 +268,21 @@ def test_property_identical_to_the_slow_paths(case):
     p, q, r = case
     assert_same(p, q, r)
 
+
+@st.composite
+def _window_case(draw):
+    d = draw(st.integers(1, 3))
+    point = st.lists(_coord, min_size=d, max_size=d)
+    start, end, a = draw(point), draw(point), draw(point)
+    r = draw(st.one_of(
+        st.sampled_from(window_knife_edges(start, end, a)),
+        st.integers(0, 12).map(lambda k: k / 4.0),
+        st.floats(0.0, 4.0),
+    ))
+    return start, end, a, r
+
+
+@settings(max_examples=500, deadline=None)
+@given(_window_case())
+def test_property_scalar_window_equals_the_kernel(case):
+    assert_same_window(*case)

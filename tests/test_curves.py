@@ -16,7 +16,7 @@ from curvejoin import (
     write_series_1d,
     write_trajectories_2d,
 )
-from curvejoin.curves import DENSIFY_MAX_VERTICES
+from curvejoin.curves import DENSIFY_MAX_VERTICES, _dist
 from helpers import curve, curve1, random_walk_curve
 
 
@@ -79,6 +79,20 @@ class TestGeometryHelpers:
         c = curve(0, [[0.0, 0.0], [3.0, 4.0], [3.0, 5.0]])
         assert longest_edge(c) == 5.0
         assert longest_edge(curve1(0, [7.0])) == 0.0
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_vertex_distance_is_the_coordinate_order_sum(self, d):
+        # _dist's bits equal the array form sqrt(dx*dx + dy*dy + ...), summed
+        # column by column, which np.linalg.norm does not always match
+        rng = np.random.default_rng(70 + d)
+        A = rng.normal(size=(4000, d)) * rng.uniform(0.1, 10.0, size=(4000, d))
+        B = rng.normal(size=(4000, d))
+        diff = A - B
+        sq = diff[:, 0] * diff[:, 0]
+        for u in range(1, d):
+            sq = sq + diff[:, u] * diff[:, u]
+        want = np.sqrt(sq).tolist()
+        assert [_dist(a, b) for a, b in zip(A.tolist(), B.tolist())] == want
 
 
 class TestSimplify:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from curvejoin import Curve, Dataset
+from curvejoin.curves import _dist
 from curvejoin.engine import (
     JoinReport,
     QueryConfig,
@@ -536,15 +537,36 @@ class TestExactJoinPrefilter:
 
     def test_endpoint_distance_knife_edge_equals_the_oracle(self):
         # copies shifted along one direction by a step whose length is r as
-        # endpoints_filter rounds it: the array norm may differ by an ulp
+        # endpoints_filter rounds it, as np.linalg.norm rounds it, and one
+        # ulp above: the array test must pass what endpoints_filter passes
         rng = np.random.default_rng(8)
         knife = 0
         for _ in range(20):
             base = random_walk_curve(rng, 0, 5, 2)
             step = rng.normal(size=2)
             data = dataset_of([Curve(k, base.vertices + k * step) for k in range(4)])
-            r = float(np.linalg.norm(data[1].vertices[0] - data[0].vertices[0]))
+            a, b = data[1].vertices[0], data[0].vertices[0]
+            r = _dist(a.tolist(), b.tolist())
             knife += sum(endpoints_filter(data[k], data[k + 1], r).verdict is not Verdict.FAR
                          for k in range(3))
-            assert exact_join(data, r) == exact_join_per_pair(data, r)
+            for radius in (r, float(np.linalg.norm(a - b)), float(np.nextafter(r, np.inf))):
+                assert exact_join(data, radius) == exact_join_per_pair(data, radius)
         assert knife > 0
+
+    def test_pairs_at_endpoint_distance_r_are_kept(self):
+        # two curves that share all but their first vertex, offset by a step
+        # whose length is r as endpoints_filter rounds it and one ulp more as
+        # np.linalg.norm rounds it: verify answers Near at r, and the array
+        # endpoint test must not drop the pair
+        rng = np.random.default_rng(9)
+        found = 0
+        while found < 10:
+            a, step = rng.normal(size=2), rng.normal(size=2)
+            r = _dist((a + step).tolist(), a.tolist())
+            if float(np.linalg.norm((a + step) - a)) <= r:
+                continue
+            found += 1
+            tail = a + rng.normal(size=(3, 2))
+            data = dataset_of([Curve(0, np.vstack([a, tail])),
+                               Curve(1, np.vstack([a + step, tail]))])
+            assert exact_join(data, r) == exact_join_per_pair(data, r) == ((0, 1),)

@@ -7,6 +7,7 @@ from curvejoin import (
     Curve,
     SimplVerifyParams,
     Verdict,
+    VerificationOutcome,
     bbox_filter,
     decide_continuous,
     densify,
@@ -28,6 +29,7 @@ from helpers import (
     curve,
     curve1,
     discrete_frechet_brute,
+    equal_time_max_arrays,
     random_pair,
     random_walk_curve,
 )
@@ -195,6 +197,25 @@ class TestDecideContinuous:
             decider(p, p, r)
 
 
+class TestInputChecks:
+    STEPS = [endpoints_filter, bbox_filter, equal_time_upper, greedy_upper,
+             negative_filter, verify_heur, lambda p, q, r: verify_simpl(p, q, r, 1.0)]
+    IDS = ["endpoints_filter", "bbox_filter", "equal_time_upper", "greedy_upper",
+           "negative_filter", "verify_heur", "verify_simpl"]
+
+    @pytest.mark.parametrize("step", STEPS, ids=IDS)
+    def test_every_cascade_step_checks_its_inputs(self, step):
+        # the curves overlap, so no step could answer Far on geometry alone
+        p2 = curve(0, [[0.0, 0.0], [1.0, 0.0]])
+        p1 = curve1(1, [0.0, 1.0])
+        for p, q in ((p2, p1), (p1, p2)):
+            with pytest.raises(ValueError, match="dimension"):
+                step(p, q, 1.0)
+        for r in (math.nan, math.inf, -math.inf, -1.0):
+            with pytest.raises(ValueError, match="radius"):
+                step(p2, p2, r)
+
+
 class TestEstimateContinuous:
     def test_spike_value(self):
         p = curve(0, [[0.0, 0.0], [4.0, 0.0]])
@@ -331,6 +352,30 @@ class TestEqualTimeUpper:
                 assert_valid_witness(p, q, r, out.witness)
                 checked += 1
         assert checked > 20
+
+    def test_walk_equals_the_array_oracle(self):
+        # verdicts and witnesses against the array evaluation, at the
+        # traversal's own maximum and one ulp either side of it
+        rng = np.random.default_rng(49)
+        cases = []
+        for i in range(150):
+            p, q = random_pair(rng, 1 + i % 3, m_max=(8, 30)[i % 2])
+            cases.append((p, q))
+            V = q.vertices
+            cases.append((p, Curve(1, V[:1])))  # single vertex: mq == 0
+            cases.append((Curve(0, p.vertices[:1]), q))  # mp == 0
+            cases.append((Curve(0, p.vertices[:1]), Curve(1, V[:1])))
+            if len(V) >= len(p):  # mp == mq
+                cases.append((p, Curve(1, V[:len(p)])))
+            # mp == 2 * mq: every breakpoint of q is one of p's
+            cases.append((Curve(0, np.repeat(p.vertices, 2, axis=0)[1:]), p))
+        for p, q in cases:
+            dmax, positions = equal_time_max_arrays(p, q)
+            for r in (0.0, 0.5 * dmax, math.nextafter(dmax, 0.0), dmax,
+                      math.nextafter(dmax, math.inf)):
+                want = (VerificationOutcome(Verdict.NEAR, "equal-time", positions)
+                        if dmax <= r else VerificationOutcome(Verdict.UNKNOWN, "equal-time"))
+                assert equal_time_upper(p, q, r) == want, (p, q, r)
 
 
 def _at_fraction(V: np.ndarray, ts: np.ndarray) -> np.ndarray:
