@@ -142,6 +142,16 @@ def _dist(a, b) -> float:
     return math.sqrt(s)
 
 
+def _dists(diff: np.ndarray) -> np.ndarray:
+    """Euclidean lengths of difference vectors along the last axis, each
+    bit-identical to _dist: the squares are added column by column, in
+    coordinate order (numpy's sum adds 8 or more terms pairwise)."""
+    sq = diff[..., 0] * diff[..., 0]
+    for u in range(1, diff.shape[-1]):
+        sq += diff[..., u] * diff[..., u]
+    return np.sqrt(sq)
+
+
 def bounding_box(p: Curve) -> BoundingBox:
     """Exact coordinate-wise min/max over the curve's vertices."""
     return BoundingBox(p.vertices.min(axis=0), p.vertices.max(axis=0))
@@ -151,8 +161,7 @@ def longest_edge(p: Curve) -> float:
     """Length of the longest edge; 0.0 for single-vertex curves."""
     if len(p) < 2:
         return 0.0
-    deltas = np.diff(p.vertices, axis=0)
-    return float(np.sqrt((deltas * deltas).sum(axis=1)).max())
+    return float(_dists(np.diff(p.vertices, axis=0)).max())
 
 
 def simplify(p: Curve, mu: float) -> Curve:
@@ -211,6 +220,13 @@ def densify(p: Curve, max_edge: float) -> Curve:
     return Curve(p.id, np.concatenate(pieces, axis=0))
 
 
+def _fields(raw: str) -> list[str]:
+    """A line's fields, split on commas and/or whitespace runs; [] for a
+    blank line. str.split is the fast path for comma-free lines and splits
+    on exactly the whitespace that the pattern's \\s matches."""
+    return _FIELD_SPLIT.split(raw.strip()) if "," in raw else raw.split()
+
+
 def _parse_floats(fields: list[str], path: Path, lineno: int) -> list[float]:
     """The fields of one line as finite floats. The first bad field raises
     ParseError naming path:line:column; the location is formatted only then."""
@@ -245,10 +261,9 @@ def parse_series_1d(path: str | Path, skip_first_field: bool = False) -> Dataset
     curves: list[Curve] = []
     with path.open("r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
+            fields = _fields(raw)
+            if not fields:
                 continue
-            fields = _FIELD_SPLIT.split(line)
             if skip_first_field:
                 fields = fields[1:]
                 if not fields:
@@ -271,10 +286,9 @@ def read_trajectory_2d(path: str | Path, cid: int) -> Curve:
     rows: list[list[float]] = []
     with path.open("r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
+            fields = _fields(raw)
+            if not fields or fields[0].startswith("#"):
                 continue
-            fields = _FIELD_SPLIT.split(line)
             if len(fields) != 2:
                 raise ParseError(
                     f"{path}:{lineno}: expected 'x y' pair, got {len(fields)} fields"

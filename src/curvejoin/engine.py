@@ -26,7 +26,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .curves import Curve, Dataset, bounding_box, check_positive
+from .curves import Curve, Dataset, _dists, bounding_box, check_positive
 from .frechet import (
     DEFAULT_EPS_LIST,
     SimplifiedCopies,
@@ -344,16 +344,6 @@ def self_join(
     )
 
 
-def _later_row_dists(X: np.ndarray, i: int) -> np.ndarray:
-    """Distances from row i of X to every later row, each bit-identical to
-    curves._dist: squared coordinate differences summed column by column."""
-    diff = X[i + 1:] - X[i]
-    sq = diff[:, 0] * diff[:, 0]
-    for u in range(1, X.shape[1]):
-        sq = sq + diff[:, u] * diff[:, u]
-    return np.sqrt(sq)
-
-
 def exact_join(dataset: Dataset, r: float, eps_list=DEFAULT_EPS_LIST) -> tuple:
     """All unordered pairs within continuous Frechet distance r (ground truth).
 
@@ -373,8 +363,8 @@ def exact_join(dataset: Dataset, r: float, eps_list=DEFAULT_EPS_LIST) -> tuple:
     out = []
     for i in range(dataset.n - 1):
         passed = (
-            (_later_row_dists(firsts, i) <= r)
-            & (_later_row_dists(lasts, i) <= r)
+            (_dists(firsts[i + 1:] - firsts[i]) <= r)
+            & (_dists(lasts[i + 1:] - lasts[i]) <= r)
             & (np.abs(lower[i + 1:] - lower[i]).max(axis=1) <= r)
             & (np.abs(upper[i + 1:] - upper[i]).max(axis=1) <= r)
         )

@@ -29,7 +29,7 @@ from enum import Enum
 
 import numpy as np
 
-from .curves import Curve, _dist, bounding_box, check_positive, simplify
+from .curves import Curve, _dist, _dists, bounding_box, check_positive, simplify
 
 __all__ = [
     "SimplVerifyParams",
@@ -94,8 +94,7 @@ def discrete_frechet(p: Curve, q: Curve) -> float:
     """Exact discrete Frechet distance via the O(|p|*|q|) dynamic program."""
     _check_dims(p, q)
     P, Q = p.vertices, q.vertices
-    diff = P[:, None, :] - Q[None, :, :]
-    dist = np.sqrt((diff * diff).sum(axis=2))
+    dist = _dists(P[:, None, :] - Q[None, :, :])
     m, n = dist.shape
     row = [0.0] * n
     row[0] = dist[0, 0]
@@ -382,8 +381,7 @@ def estimate_continuous(
             return est
     # At twice the largest vertex-to-vertex distance every free-space
     # window is a whole edge with a wide margin, so the decision accepts.
-    diff = p.vertices[:, None, :] - q.vertices[None, :, :]
-    return 2.0 * float(np.sqrt((diff * diff).sum(axis=2).max()))
+    return 2.0 * float(_dists(p.vertices[:, None, :] - q.vertices[None, :, :]).max())
 
 
 # ---------------------------------------------------------------------------

@@ -8,16 +8,21 @@ and floor(k/2) grids per slot, and table (i, j) concatenates slot i of
 the first group with slot j of the second, so per-curve grid work drops
 from k * L to k * sqrt(L).
 
-Hashing is arrays. `snap_signature` snaps a curve to all of its grids in
-one broadcast and returns the cells with a mask that keeps the first
-vertex of each run. A table's words are the mixed coordinates of each
+Hashing is arrays, and the dataset is hashed in passes. `build_index`
+walks the curves in blocks of whole curves under a vertex budget, so its
+working memory stays bounded; a query is a one-curve block. One
+`snap_signature` call snaps a block to all of its grids in one broadcast
+and returns the cells with a mask that keeps the first vertex of each run
+within each curve. A table's words are the mixed coordinates of each
 grid's kept cells, with a separator between grids; their polynomial with
 the odd multiplier a, in wrapping 64-bit arithmetic, is finished by a
-multiply-shift to 32 bits. One masked fold over a power table turns each
-slot's words into (acc, a**count), and the polynomial of slot i followed
-by slot j is acc_i * a**count_j + acc_j, so all L keys come from one
-(L', 1) x (1, L') broadcast. The index is one (n, L) key matrix; queries search one sorted
-run of (table, key) words derived from it.
+multiply-shift to 32 bits. Only kept cells are mixed, and every (grid,
+curve) polynomial is one segment of a single prefix sum over the block
+(a is invertible mod 2^64, so the segments come out exact). Grids fold
+into slots as (acc, a**count), and the polynomial of slot i followed by
+slot j is acc_i * a**count_j + acc_j, so all L keys of a curve come from
+one (L', 1) x (1, L') broadcast. The index is one (n, L) key matrix;
+queries search one sorted run of (table, key) words derived from it.
 
 Everything is derived deterministically from a 64-bit seed via
 counter-based PRNG streams, one per (group, table slot, concatenation
@@ -54,6 +59,11 @@ MASK64 = (1 << 64) - 1
 # word put before each grid's cells so block boundaries are positional
 _SEPARATOR = 0x9E3779B97F4A7C15
 
+# Vertices that build_index hashes in one block of whole curves, and keys
+# that an index sorts in one chunk of tables.
+_BLOCK_VERTICES = 1 << 10
+_SORT_CHUNK = 1 << 16
+
 
 class IndexFormatError(ValueError):
     """Raised when an index file is malformed or does not match the dataset."""
@@ -87,54 +97,30 @@ class LshParams:
         object.__setattr__(self, "L", lp * lp)
 
 
-def snap_signature(shifts: np.ndarray, delta: float, p: Curve):
-    """Snap a curve to g grids at once: (g, m, d) cells and a (g, m) mask.
+def snap_signature(shifts: np.ndarray, delta: float, p, starts=(0,)):
+    """Snap curves to g grids at once: (g, N, d) cells and a (g, N) mask.
 
-    Row i of the (g, d) shifts offsets grid i, each entry in [0, delta); a
-    vertex goes to its closest grid vertex, cell * delta + shift, rounding
-    half up. The mask keeps the first vertex of every run of equal cells,
-    so cells[i][keep[i]] is the curve's signature on grid i.
+    p is a curve, or the (N, d) concatenated vertices of a block of curves
+    whose first vertices sit at offsets starts. Row i of the (g, d) shifts
+    offsets grid i, each entry in [0, delta); a vertex goes to its closest
+    grid vertex, cell * delta + shift, rounding half up. The mask keeps the
+    first vertex of every run of equal cells within a curve, so for one
+    curve cells[i][keep[i]] is its signature on grid i.
     """
-    if shifts.shape[1] != p.dim:
-        raise ValueError(f"dimension mismatch: grid {shifts.shape[1]}, curve {p.dim}")
-    cells = np.floor((p.vertices - shifts[:, None, :]) / delta + 0.5).astype(np.int64)
-    keep = np.empty(cells.shape[:2], dtype=bool)
-    keep[:, 0] = True
-    keep[:, 1:] = (cells[:, 1:] != cells[:, :-1]).any(axis=2)
-    return cells, keep
-
-
-def _fold(cells: np.ndarray, keep: np.ndarray, slots: int, lead: bool, a: int, mixers):
-    """Per slot, the polynomial state (acc, a**count) of its grids' words.
-
-    A slot holds g / slots consecutive grids. The words of one grid are a
-    separator, then the mixed coordinates of its kept cells; the first
-    separator of a slot counts only when lead is set. acc is the sum of
-    word * a**(kept words after it), in wrapping 64-bit arithmetic.
-    """
-    g, m, d = cells.shape
-    z = cells.view(np.uint64) ^ mixers
-    z ^= z >> 30
-    z *= 0xBF58476D1CE4E5B9
-    z ^= z >> 27
-    z *= 0x94D049BB133111EB
-    z ^= z >> 31
-    kept = np.empty((g, 1 + m * d), dtype=bool)
-    kept[:, 0] = True
-    kept[:, 1:] = np.repeat(keep, d, axis=1)
-    if not lead:
-        kept[:: g // slots, 0] = False
-    words = np.empty(kept.shape, dtype=np.uint64)
-    words[:, 0] = _SEPARATOR
-    words[:, 1:] = z.reshape(g, m * d)
-    words = np.where(kept, words, 0).reshape(slots, -1)
-    kept = kept.reshape(slots, -1)
-    count = kept.sum(axis=1)
-    powers = np.full(kept.shape[1] + 1, a, dtype=np.uint64)
-    powers[0] = 1
-    powers = powers.cumprod()  # a**i mod 2^64
-    acc = (words * powers[count[:, None] - kept.cumsum(axis=1)]).sum(axis=1)
-    return acc, powers[count]
+    vertices = p.vertices if isinstance(p, Curve) else p
+    if shifts.shape[1] != vertices.shape[1]:
+        raise ValueError(f"dimension mismatch: grid {shifts.shape[1]}, curve {vertices.shape[1]}")
+    # coordinate-major (d, g, N), so numpy's inner loops run along the vertices
+    x = np.ascontiguousarray(vertices.T)[:, None, :] - shifts.T[:, :, None]
+    x /= delta
+    x += 0.5
+    cells = np.floor(x, out=x).astype(np.int64)
+    keep = np.empty(cells.shape[1:], dtype=bool)
+    np.not_equal(cells[0, :, 1:], cells[0, :, :-1], out=keep[:, 1:])
+    for plane in cells[1:]:
+        keep[:, 1:] |= plane[:, 1:] != plane[:, :-1]
+    keep[:, starts] = True
+    return cells.transpose(1, 2, 0), keep
 
 
 def _stream(seed: int, group: int, slot: int, concat: int) -> np.random.Generator:
@@ -144,7 +130,8 @@ def _stream(seed: int, group: int, slot: int, concat: int) -> np.random.Generato
 
 
 def _draw_grids(params: LshParams):
-    """Both groups' shifts, then the fold's odd multiplier a and mixers.
+    """Both groups' shifts, then the fold's odd multiplier a, its inverse
+    mod 2^64, and the mixers.
 
     Group 0 has ceil(k/2) grids per slot and group 1 floor(k/2); each is
     one (l_prime * grids per slot, d) array, slot by slot.
@@ -161,7 +148,7 @@ def _draw_grids(params: LshParams):
     rng = _stream(params.seed, 2, 0, 0)
     a = int.from_bytes(rng.bytes(8), "little") | 1
     mixers = np.frombuffer(rng.bytes(8 * params.d), dtype="<u8").astype(np.uint64)
-    return shifts(0, (params.k + 1) // 2), shifts(1, params.k // 2), a, mixers
+    return shifts(0, (params.k + 1) // 2), shifts(1, params.k // 2), a, pow(a, -1, 1 << 64), mixers
 
 
 def dataset_fingerprint(dataset: Dataset) -> int:
@@ -194,11 +181,21 @@ class LshIndex:
     _ids: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        words = (_table_words(self.params.L) | self.keys).ravel()
-        order = np.argsort(words, kind="stable")
+        # The run is each table's keys, stably sorted, table after table;
+        # sorting a chunk of tables at a time bounds the temporary memory.
+        n, L = self.keys.shape
+        run = np.empty((L, n), dtype=np.uint64)
+        ids = np.empty((L, n), dtype=np.intp)
+        step = max(1, _SORT_CHUNK // n)
+        for lo in range(0, L, step):
+            chunk = self.keys[:, lo:lo + step].T.copy()
+            order = np.argsort(chunk, axis=1, kind="stable")
+            ids[lo:lo + step] = order
+            run[lo:lo + step] = np.take_along_axis(chunk, order, axis=1)
+        run |= _table_words(L)[:, None]
         object.__setattr__(self, "_grids", _draw_grids(self.params))
-        object.__setattr__(self, "_run", words[order])
-        object.__setattr__(self, "_ids", order // self.params.L)
+        object.__setattr__(self, "_run", run.ravel())
+        object.__setattr__(self, "_ids", ids.ravel())
 
 
 def _table_words(L: int) -> np.ndarray:
@@ -214,28 +211,90 @@ class ScoredCandidate:
     score: float
 
 
-def _table_keys(params: LshParams, grids, p: Curve) -> np.ndarray:
-    """The curve's key in each of the L tables, from one snap of k * l_prime grids.
+def _powers(base: int, n: int) -> np.ndarray:
+    """base**0, ..., base**(n - 1) in wrapping 64-bit arithmetic."""
+    out = np.full(n, base, dtype=np.uint64)
+    out[0] = 1
+    return out.cumprod()
 
-    Table (i, j) folds slot i of group 0, then slot j of group 1; the
-    polynomial of a concatenation is acc_i * a**count_j + acc_j.
+
+def _table_keys(params: LshParams, grids, vertices: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """The (n, L) keys of a block of n curves, from one snap of k * l_prime grids.
+
+    vertices are the curves' concatenated vertices and starts the offset
+    of each curve's first vertex. A kept cell's d mixed coordinates fold
+    into one cell word, so cells fold with base b = a**d. The cells of
+    every (grid, curve) pair are one segment of a single prefix sum of
+    word * b**-rank, and a segment's fold is its difference of prefix sums
+    times b**rank of its last cell; a is odd, so b is invertible mod 2^64
+    and this is exact in wrapping arithmetic. A slot folds its grids in
+    order, each joining with its separator in closed form as
+    (acc * a + separator) * b**cells + segment; the separator of the first
+    grid of a group 0 slot is masked to 0. Table (i, j) folds slot i of
+    group 0, then slot j of group 1, as acc_i * a**count_j + acc_j.
     """
-    shifts0, shifts1, a, mixers = grids
-    lp, g0 = params.l_prime, len(shifts0)
-    cells, keep = snap_signature(np.concatenate((shifts0, shifts1)), params.delta, p)
-    acc0, _ = _fold(cells[:g0], keep[:g0], lp, False, a, mixers)
-    acc1, pow1 = _fold(cells[g0:], keep[g0:], lp, True, a, mixers)
-    acc = acc0[:, None] * pow1 + acc1
+    shifts0, shifts1, a, a_inv, mixers = grids
+    lp, d, n = params.l_prime, params.d, len(starts)
+    per0, per1 = len(shifts0) // lp, len(shifts1) // lp
+    cells, keep = snap_signature(np.concatenate((shifts0, shifts1)), params.delta, vertices, starts)
+    # the kept cells, coordinate by coordinate, in (grid, curve, vertex) order
+    z = np.compress(keep.ravel(), cells.transpose(2, 0, 1).reshape(d, -1), axis=1)
+    z = z.view(np.uint64) ^ mixers[:, None]
+    z ^= z >> 30
+    z *= 0xBF58476D1CE4E5B9
+    z ^= z >> 27
+    z *= 0x94D049BB133111EB
+    z ^= z >> 31
+    words = z[0]
+    for coord in z[1:]:
+        words = words * a + coord
+    size = len(words)
+    powers = _powers(pow(a, d, 1 << 64), size + 1)  # b**i
+    prefix = np.zeros(size + 1, dtype=np.uint64)
+    np.cumsum(words * _powers(pow(a_inv, d, 1 << 64), size), out=prefix[1:])
+    count = np.add.reduceat(keep, starts, axis=1, dtype=np.intp)  # (g, n) cells
+    end = count.cumsum().reshape(count.shape)
+    seg = (prefix[end] - prefix[end - count]) * powers[end - 1]
+
+    def slots(lo: int, per: int, lead: bool):
+        # grids lo + slot * per + t, t < per, with a separator before each
+        # but the first unless lead is set
+        acc, total = np.zeros((lp, n), np.uint64), np.zeros((lp, n), np.intp)
+        for t in range(per):
+            rows = slice(lo + t, lo + lp * per, per)
+            sep = _SEPARATOR if t or lead else 0
+            acc = (acc * a + sep) * powers[count[rows]] + seg[rows]
+            total += count[rows]
+        return acc.T, total.T
+
+    acc0, _ = slots(0, per0, False)
+    acc1, total1 = slots(lp * per0, per1, True)
+    tail = powers[total1] * pow(a, per1, 1 << 64)  # a**count of each group 1 slot
+    tables = acc0[:, :, None] * tail[:, None, :] + acc1[:, None, :]
     # multiply-shift: the top 32 bits of a * acc mod 2^64
-    return ((a * acc) >> 32).astype("<u4").ravel()
+    return ((a * tables) >> 32).astype("<u4").reshape(n, -1)
 
 
 def build_index(dataset: Dataset, params: LshParams) -> LshIndex:
-    """Hash every curve into the L tables; deterministic given the seed."""
+    """Hash every curve into the L tables; deterministic given the seed.
+
+    Curves are hashed in blocks of whole curves, at most _BLOCK_VERTICES
+    vertices each unless one curve alone has more, so working memory stays
+    bounded whatever the dataset's size.
+    """
     if params.d != dataset.d:
         raise ValueError(f"params dimension {params.d} != dataset dimension {dataset.d}")
     grids = _draw_grids(params)
-    keys = np.array([_table_keys(params, grids, c) for c in dataset], dtype="<u4")
+    keys = np.empty((dataset.n, params.L), dtype="<u4")
+    ends = np.cumsum([len(c) for c in dataset])
+    lo = 0
+    while lo < dataset.n:
+        base = ends[lo - 1] if lo else 0
+        hi = max(lo + 1, int(np.searchsorted(ends, base + _BLOCK_VERTICES, "right")))
+        vertices = np.concatenate([c.vertices for c in dataset.curves[lo:hi]])
+        starts = np.concatenate(([0], ends[lo:hi - 1] - base))
+        keys[lo:hi] = _table_keys(params, grids, vertices, starts)
+        lo = hi
     keys.setflags(write=False)
     grid_evals = dataset.n * (len(grids[0]) + len(grids[1]))
     return LshIndex(params, keys, dataset_fingerprint(dataset), grid_evals)
@@ -250,7 +309,7 @@ def query_scores(idx: LshIndex, q: Curve) -> list[ScoredCandidate]:
     if q.dim != idx.params.d:
         raise ValueError(f"dimension mismatch: query {q.dim}, index {idx.params.d}")
     L = idx.params.L
-    words = _table_words(L) | _table_keys(idx.params, idx._grids, q)
+    words = _table_words(L) | _table_keys(idx.params, idx._grids, q.vertices, [0])[0]
     lo = np.searchsorted(idx._run, words, "left")
     sizes = np.searchsorted(idx._run, words, "right") - lo
     # positions lo[t], ..., lo[t] + sizes[t] - 1 of every table t, in one array

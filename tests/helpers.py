@@ -17,9 +17,10 @@ from curvejoin import (
     discrete_frechet,
     metrics,
     range_query,
+    snap_signature,
     verify,
 )
-from curvejoin.curves import _dist
+from curvejoin.curves import _FIELD_SPLIT, ParseError, _dist, _parse_floats
 from curvejoin.frechet import DEFAULT_EPS_LIST
 
 
@@ -265,6 +266,52 @@ def stream_key(a: int, mixers, blocks) -> int:
         for w in words:
             acc = (acc * a + w) & MASK64
     return ((a * acc) & MASK64) >> 32
+
+
+def fold_slots(cells: np.ndarray, keep: np.ndarray, slots: int, lead: bool, a: int, mixers):
+    """Per slot, the polynomial state (acc, a**count) of its grids' words.
+
+    A slot holds g / slots consecutive grids. The words of one grid are a
+    separator, then the mixed coordinates of its kept cells; the first
+    separator of a slot counts only when lead is set. acc is the sum of
+    word * a**(kept words after it), in wrapping 64-bit arithmetic, from
+    one masked fold over a power table.
+    """
+    g, m, d = cells.shape
+    z = cells.view(np.uint64) ^ mixers
+    z ^= z >> 30
+    z *= 0xBF58476D1CE4E5B9
+    z ^= z >> 27
+    z *= 0x94D049BB133111EB
+    z ^= z >> 31
+    kept = np.empty((g, 1 + m * d), dtype=bool)
+    kept[:, 0] = True
+    kept[:, 1:] = np.repeat(keep, d, axis=1)
+    if not lead:
+        kept[:: g // slots, 0] = False
+    words = np.empty(kept.shape, dtype=np.uint64)
+    words[:, 0] = SEPARATOR
+    words[:, 1:] = z.reshape(g, m * d)
+    words = np.where(kept, words, 0).reshape(slots, -1)
+    kept = kept.reshape(slots, -1)
+    count = kept.sum(axis=1)
+    powers = np.full(kept.shape[1] + 1, a, dtype=np.uint64)
+    powers[0] = 1
+    powers = powers.cumprod()  # a**i mod 2^64
+    acc = (words * powers[count[:, None] - kept.cumsum(axis=1)]).sum(axis=1)
+    return acc, powers[count]
+
+
+def table_keys_per_curve(params, grids, p: Curve) -> np.ndarray:
+    """Oracle for the block kernel lsh._table_keys: one curve's L keys from
+    its own snap and one masked fold over all words per group."""
+    shifts0, shifts1, a, _, mixers = grids
+    lp, g0 = params.l_prime, len(shifts0)
+    cells, keep = snap_signature(np.concatenate((shifts0, shifts1)), params.delta, p)
+    acc0, _ = fold_slots(cells[:g0], keep[:g0], lp, False, a, mixers)
+    acc1, pow1 = fold_slots(cells[g0:], keep[g0:], lp, True, a, mixers)
+    acc = acc0[:, None] * pow1 + acc1
+    return ((a * acc) >> 32).astype("<u4").ravel()
 
 
 class DictIndex:
@@ -542,3 +589,46 @@ def exact_join_per_pair(dataset: Dataset, r: float, eps_list=DEFAULT_EPS_LIST) -
             if verify(dataset[i], dataset[j], r, eps_list).verdict is Verdict.NEAR:
                 out.append((i, j))
     return tuple(out)
+
+
+# ---------------------------------------------------------------------------
+# Oracle for the text readers in curvejoin.curves: every line is stripped,
+# then split with the field pattern, with no str.split path for comma-free
+# lines. Each returns the parsed rows or raises the library's ParseError
+# text.
+
+
+def series_rows_oracle(path, skip_first_field: bool = False) -> list[list[float]]:
+    rows = []
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if not line:
+                continue
+            fields = _FIELD_SPLIT.split(line)
+            if skip_first_field:
+                fields = fields[1:]
+                if not fields:
+                    raise ParseError(f"{path}:{lineno}: empty curve after label skip")
+            rows.append(_parse_floats(fields, path, lineno))
+    if not rows:
+        raise ParseError(f"{path}: no curves found")
+    return rows
+
+
+def trajectory_rows_oracle(path) -> list[list[float]]:
+    rows = []
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            fields = _FIELD_SPLIT.split(line)
+            if len(fields) != 2:
+                raise ParseError(
+                    f"{path}:{lineno}: expected 'x y' pair, got {len(fields)} fields"
+                )
+            rows.append(_parse_floats(fields, path, lineno))
+    if not rows:
+        raise ParseError(f"{path}: empty trajectory")
+    return rows

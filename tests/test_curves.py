@@ -1,7 +1,11 @@
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from curvejoin import (
     Curve,
@@ -16,8 +20,14 @@ from curvejoin import (
     write_series_1d,
     write_trajectories_2d,
 )
-from curvejoin.curves import DENSIFY_MAX_VERTICES, _dist
-from helpers import curve, curve1, random_walk_curve
+from curvejoin.curves import DENSIFY_MAX_VERTICES, _dist, read_trajectory_2d
+from helpers import (
+    curve,
+    curve1,
+    random_walk_curve,
+    series_rows_oracle,
+    trajectory_rows_oracle,
+)
 
 
 class TestCurve:
@@ -310,3 +320,51 @@ class TestTrajectoryFormat:
         back = parse_trajectories_2d(lst)
         for c in ds:
             assert np.array_equal(back[c.id].vertices, c.vertices)
+
+
+# Lines drawn from number pieces, field separators of every kind the two
+# formats meet (commas, ASCII and Unicode whitespace, a carriage return
+# that splits the line), comment marks and non-finite words.
+_LINE_PIECES = st.sampled_from(
+    list("0123456789.e-") + [" ", "\t", ",", "#", "\r", "\x0b", "\x1c", "\xa0", "nan", "inf"])
+_TEXT = st.lists(st.lists(_LINE_PIECES, max_size=12).map("".join), max_size=6).map("\n".join)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ParseError as e:
+        return f"ParseError: {e}"
+
+
+class TestReadersMatchPerLineSplit:
+    """The readers split comma-free lines with str.split; rows and error
+    texts must equal the oracle that strips and splits every line with the
+    field pattern."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=_TEXT, skip=st.booleans())
+    def test_series_format(self, text, skip):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "series.txt"
+            path.write_text(text, encoding="utf-8")
+            got = _outcome(lambda: [c.vertices[:, 0].tolist()
+                                    for c in parse_series_1d(path, skip)])
+            assert got == _outcome(series_rows_oracle, path, skip)
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=_TEXT)
+    def test_trajectory_format(self, text):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "walk.txt"
+            path.write_text(text, encoding="utf-8")
+            got = _outcome(lambda: read_trajectory_2d(path, 0).vertices.tolist())
+            assert got == _outcome(trajectory_rows_oracle, path)
+
+    @pytest.mark.parametrize("line", ["1 2", " 1\t2 ", "1,2", " ,1 2", "1\xa02", "1\x1c2",
+                                      "# 1 2", " #1,2", "\x0b", "1 2 3", "1,,2"])
+    def test_worked_lines(self, line, tmp_path):
+        path = tmp_path / "walk.txt"
+        path.write_text(line + "\n3 4\n", encoding="utf-8")
+        assert (_outcome(lambda: read_trajectory_2d(path, 0).vertices.tolist())
+                == _outcome(trajectory_rows_oracle, path))

@@ -24,6 +24,7 @@ from curvejoin import (
     verify_simpl,
 )
 from curvejoin import frechet
+from curvejoin.curves import _dist
 from helpers import (
     assert_valid_witness,
     curve,
@@ -84,6 +85,23 @@ class TestDiscreteFrechet:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension"):
             discrete_frechet(curve1(0, [0.0]), curve(1, [[0.0, 0.0]]))
+
+
+class TestHighDimensionArithmetic:
+    """From d = 8 on, numpy's sum adds the squares pairwise, not in
+    coordinate order; every array distance must still equal _dist."""
+
+    @pytest.mark.parametrize("d", [8, 12])
+    def test_array_distances_equal_dist(self, d):
+        rng = np.random.default_rng(40 + d)
+        for _ in range(1000):
+            p, q = Curve(0, rng.normal(size=(1, d))), Curve(1, rng.normal(size=(1, d)))
+            ddf = discrete_frechet(p, q)
+            assert ddf == _dist(p.vertices[0].tolist(), q.vertices[0].tolist())
+            # the discrete distance bounds the continuous one from above
+            assert decide_continuous(p, q, ddf)
+            two = Curve(2, rng.normal(size=(2, d)))
+            assert longest_edge(two) == _dist(*two.vertices.tolist())
 
 
 class TestDecideContinuous:

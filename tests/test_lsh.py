@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from curvejoin import (
     save_index,
     snap_signature,
 )
+from curvejoin import lsh
 from curvejoin.lsh import _draw_grids, _table_keys
 from helpers import (
     DictIndex,
@@ -27,6 +30,7 @@ from helpers import (
     random_walk_curve,
     snap_block,
     stream_key,
+    table_keys_per_curve,
 )
 
 
@@ -107,10 +111,11 @@ class TestSnapping:
 def _key(cells_1d, a: int, mixers) -> int:
     """Library key of a 1-d cell sequence: with k = 1, L = 1 and a zero
     shift on a unit grid, integer vertices are their own cells."""
-    grids = (np.zeros((1, 1)), np.zeros((0, 1)), a, np.asarray(mixers, dtype=np.uint64))
-    keys = _table_keys(LshParams(1.0, 1, 1, 1, 0), grids, curve1(0, cells_1d))
-    assert keys.dtype == np.dtype("<u4") and keys.shape == (1,)
-    return int(keys[0])
+    grids = (np.zeros((1, 1)), np.zeros((0, 1)), a, pow(a, -1, 1 << 64),
+             np.asarray(mixers, dtype=np.uint64))
+    keys = _table_keys(LshParams(1.0, 1, 1, 1, 0), grids, curve1(0, cells_1d).vertices, [0])
+    assert keys.dtype == np.dtype("<u4") and keys.shape == (1, 1)
+    return int(keys[0, 0])
 
 
 def _random_hash(rng):
@@ -154,7 +159,7 @@ class TestSequenceHasher:
             group0, group1, a, mixers = draw_hash(par)
             for _ in range(4):
                 c = random_walk_curve(rng, 0, int(rng.integers(1, 12)), 2, step=0.6)
-                keys = _table_keys(par, grids, c).tolist()
+                keys = _table_keys(par, grids, c.vertices, [0])[0].tolist()
                 for i, slot0 in enumerate(group0):
                     for j, slot1 in enumerate(group1):
                         blocks = [snap_block(c.vertices, t, 1.0) for t in slot0 + slot1]
@@ -310,13 +315,15 @@ class TestIndex:
 
     def test_drawn_grids_are_valid(self):
         # shifts lie in [0, delta), k * l_prime of them; the multiplier is odd
+        # and comes with its inverse mod 2^64
         for seed in range(20):
             par = LshParams(0.5 + seed, 1 + seed % 4, 1 + seed, 1 + seed % 3, seed)
-            shifts0, shifts1, a, mixers = _draw_grids(par)
+            shifts0, shifts1, a, a_inv, mixers = _draw_grids(par)
             shifts = np.concatenate((shifts0, shifts1))
             assert shifts.shape == (par.k * par.l_prime, par.d)
             assert ((0.0 <= shifts) & (shifts < par.delta)).all()
             assert a % 2 == 1 and 0 < a < (1 << 64)
+            assert a * a_inv % (1 << 64) == 1
             assert mixers.dtype == np.uint64 and mixers.shape == (par.d,)
 
     def test_k1_tensoring_collapses_second_group(self):
@@ -379,6 +386,98 @@ class TestKeyMatrixMatchesDictIndex:
         par = LshParams(delta, k, L, d, seed)
         ds = Dataset([c])
         assert build_index(ds, par).keys[0].tolist() == DictIndex(ds, par).keys(c)
+
+
+def _ragged_dataset(rng, n: int, d: int, max_m: int = 9) -> Dataset:
+    """Single-vertex curves, slow walks whose vertices snap to runs of
+    equal cells, faster walks, and near copies that share keys."""
+    curves = []
+    for i in range(n):
+        if i % 5 == 4 and curves:
+            curves.append(perturbed_copy(rng, curves[-1], i, amp=0.05))
+        else:
+            m = 1 if i % 7 == 0 else int(rng.integers(2, max_m + 1))
+            curves.append(random_walk_curve(rng, i, m, d, step=0.05 if i % 3 == 0 else 0.6))
+    return Dataset(curves)
+
+
+class TestBlockKernel:
+    """lsh._table_keys hashes blocks of curves; each key must equal the
+    per-curve oracle and DictIndex, whatever the blocks look like."""
+
+    @staticmethod
+    def _check(ds: Dataset, par: LshParams, queries=()):
+        idx = build_index(ds, par)
+        grids = _draw_grids(par)
+        oracle = DictIndex(ds, par)
+        assert idx.keys.shape == (ds.n, par.L)
+        for c in ds:
+            keys = idx.keys[c.id].tolist()
+            assert keys == table_keys_per_curve(par, grids, c).tolist()
+            assert keys == oracle.keys(c)
+        for q in list(ds) + list(queries):
+            assert query_scores(idx, q) == oracle.query_scores(q)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_keys_and_scores_match_both_oracles(self, k, d, monkeypatch):
+        # blocks of at most 10 vertices: many blocks, and a last one that
+        # is not full
+        monkeypatch.setattr(lsh, "_BLOCK_VERTICES", 10)
+        rng = np.random.default_rng(300 + 10 * k + d)
+        ds = _ragged_dataset(rng, 23, d)
+        queries = [random_walk_curve(rng, 0, int(rng.integers(1, 8)), d) for _ in range(3)]
+        self._check(ds, LshParams(1.5, k, 9, d, seed=int(rng.integers(1 << 63))), queries)
+
+    def test_curve_longer_than_the_budget(self, monkeypatch):
+        # a 40-vertex curve is a block of its own between short curves
+        monkeypatch.setattr(lsh, "_BLOCK_VERTICES", 16)
+        rng = np.random.default_rng(310)
+        ds = Dataset([random_walk_curve(rng, 0, 5, 2),
+                      random_walk_curve(rng, 1, 40, 2, step=0.4),
+                      random_walk_curve(rng, 2, 1, 2),
+                      random_walk_curve(rng, 3, 17, 2, step=0.4),
+                      random_walk_curve(rng, 4, 3, 2)])
+        for k in (1, 2, 3):
+            self._check(ds, LshParams(1.0, k, 16, 2, seed=int(rng.integers(1 << 63))))
+
+    @settings(max_examples=40, deadline=None)
+    @given(k=st.integers(1, 5), d=st.integers(1, 3), L=st.integers(1, 30),
+           budget=st.integers(1, 40), seed=st.integers(0, (1 << 64) - 1), data=st.data())
+    def test_ragged_datasets_property(self, k, d, L, budget, seed, data):
+        # vertices on a half-integer lattice, so cells repeat in runs
+        lengths = data.draw(st.lists(st.integers(1, 10), min_size=1, max_size=8))
+        curves = []
+        for i, m in enumerate(lengths):
+            values = data.draw(st.lists(st.integers(-4, 4), min_size=m * d, max_size=m * d))
+            curves.append(Curve(i, np.array(values, dtype=np.float64).reshape(m, d) / 2.0))
+        ds = Dataset(curves)
+        par = LshParams(data.draw(st.sampled_from([1.0, 2.0, 0.75])), k, L, d, seed)
+        old = lsh._BLOCK_VERTICES
+        lsh._BLOCK_VERTICES = budget
+        try:
+            self._check(ds, par)
+        finally:
+            lsh._BLOCK_VERTICES = old
+
+    def test_working_memory_is_bounded_by_the_block(self):
+        # Unblocked, the build would hold a (g, N, d) int64 cell array per
+        # group at once: 16 grids x 320,000 vertices x 2 coordinates, about
+        # 82 MB, on top of its float temporaries. Blocked, the peak beyond
+        # the key matrix is the sorted run and its ids (about 33 MB here)
+        # plus one block's temporaries.
+        rng = np.random.default_rng(312)
+        ds = Dataset([Curve(i, np.cumsum(rng.normal(size=(40, 2)), axis=0))
+                      for i in range(8000)])
+        par = LshParams(1.0, 2, 256, 2, seed=1)
+        one_group_cells = (par.k // 2) * par.l_prime * 8000 * 40 * 2 * 8
+        tracemalloc.start()
+        try:
+            idx = build_index(ds, par)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - idx.keys.nbytes < one_group_cells / 2
 
 
 class TestIndexFiles:
