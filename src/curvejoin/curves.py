@@ -16,6 +16,7 @@ Two plain-text formats are supported:
 from __future__ import annotations
 
 import math
+import os
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -83,6 +84,47 @@ class Curve:
 
     def __len__(self) -> int:
         return self.vertices.shape[0]
+
+    # The prepared view: what the verification cascade reads of a curve,
+    # each part computed on its first use and kept. The curve is frozen, so
+    # no part can be replaced; the float parts are tuples and the array
+    # parts read-only, so none can be changed in place. Each value comes
+    # from the same operations, in the same order, as the per-call code it
+    # serves, so a verdict is the same whichever call prepared the curve.
+
+    @cached_property
+    def _points(self) -> tuple[tuple[float, ...], ...]:
+        """The vertices as tuples of Python floats."""
+        return tuple(map(tuple, self.vertices.tolist()))
+
+    @cached_property
+    def _edges(self) -> tuple[tuple[tuple[float, ...], ...], tuple[float, ...]]:
+        """Per edge, its delta (end - start in each coordinate) and its
+        squared length (the delta's squares added in coordinate order), as
+        floats. numpy's elementwise -, * and + round as Python's do."""
+        deltas = self.vertices[1:] - self.vertices[:-1]
+        sq = deltas[:, 0] * deltas[:, 0]
+        for u in range(1, self.dim):
+            sq = sq + deltas[:, u] * deltas[:, u]
+        return tuple(map(tuple, deltas.tolist())), tuple(sq.tolist())
+
+    @cached_property
+    def _box(self) -> BoundingBox:
+        """The bounding box, with read-only corners."""
+        lower, upper = self.vertices.min(axis=0), self.vertices.max(axis=0)
+        lower.setflags(write=False)
+        upper.setflags(write=False)
+        return BoundingBox(lower, upper)
+
+    @cached_property
+    def _columns(self) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
+        """The contiguous coordinate columns and, per coordinate, the edge
+        deltas (column[1:] - column[:-1]), all read-only."""
+        cols = self.vertices.T.copy()
+        deltas = cols[:, 1:] - cols[:, :-1]
+        cols.setflags(write=False)
+        deltas.setflags(write=False)
+        return tuple(cols), tuple(deltas)
 
 
 @dataclass(frozen=True)
@@ -153,8 +195,9 @@ def _dists(diff: np.ndarray) -> np.ndarray:
 
 
 def bounding_box(p: Curve) -> BoundingBox:
-    """Exact coordinate-wise min/max over the curve's vertices."""
-    return BoundingBox(p.vertices.min(axis=0), p.vertices.max(axis=0))
+    """Exact coordinate-wise min/max over the curve's vertices; the corners
+    are computed once per curve and are read-only."""
+    return p._box
 
 
 def longest_edge(p: Curve) -> float:
@@ -171,10 +214,11 @@ def simplify(p: Curve, mu: float) -> Curve:
     vertex farther than mu from the last marked one, marking it; the last
     vertex is always kept. The output vertices are a subsequence of the
     input, and the curve stays within Frechet distance mu of the original.
-    With mu = 0 this drops consecutive duplicates (endpoints kept).
+    With mu = 0 this drops consecutive duplicates (endpoints kept). When
+    every vertex is kept the result is p itself.
     """
     check_positive("mu", mu, allow_zero=True)
-    pts = p.vertices.tolist()
+    pts = p._points
     m = len(pts)
     kept = [0]
     cur = pts[0]
@@ -184,6 +228,8 @@ def simplify(p: Curve, mu: float) -> Curve:
             cur = pts[i]
     if kept[-1] != m - 1:
         kept.append(m - 1)
+    if len(kept) == m:
+        return p
     return Curve(p.id, p.vertices[kept])
 
 
@@ -227,7 +273,7 @@ def _fields(raw: str) -> list[str]:
     return _FIELD_SPLIT.split(raw.strip()) if "," in raw else raw.split()
 
 
-def _parse_floats(fields: list[str], path: Path, lineno: int) -> list[float]:
+def _parse_floats(fields: list[str], path: str | Path, lineno: int) -> list[float]:
     """The fields of one line as finite floats. The first bad field raises
     ParseError naming path:line:column; the location is formatted only then."""
     values: list[float] = []
@@ -243,7 +289,7 @@ def _parse_floats(fields: list[str], path: Path, lineno: int) -> list[float]:
         values.append(x)
     else:
         return values
-    raise ParseError(f"{path}:{lineno}:{len(values) + 1}: {problem} {tok!r}")
+    raise ParseError(f"{Path(path)}:{lineno}:{len(values) + 1}: {problem} {tok!r}")
 
 
 def parse_series_1d(path: str | Path, skip_first_field: bool = False) -> Dataset:
@@ -280,22 +326,22 @@ def read_trajectory_2d(path: str | Path, cid: int) -> Curve:
 
     Raises:
         ParseError: malformed or non-finite coordinate pair, or an empty
-            trajectory; the message names the offending file/line.
+            trajectory; the message names the offending file/line, as
+            the Path of `path` prints it (formatted only then).
     """
-    path = Path(path)
     rows: list[list[float]] = []
-    with path.open("r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             fields = _fields(raw)
             if not fields or fields[0].startswith("#"):
                 continue
             if len(fields) != 2:
                 raise ParseError(
-                    f"{path}:{lineno}: expected 'x y' pair, got {len(fields)} fields"
+                    f"{Path(path)}:{lineno}: expected 'x y' pair, got {len(fields)} fields"
                 )
             rows.append(_parse_floats(fields, path, lineno))
     if not rows:
-        raise ParseError(f"{path}: empty trajectory")
+        raise ParseError(f"{Path(path)}: empty trajectory")
     return Curve(cid, np.array(rows, dtype=np.float64))
 
 
@@ -303,25 +349,24 @@ def parse_trajectories_2d(list_path: str | Path) -> Dataset:
     """Load 2-D trajectories named by a list file, one path per line.
 
     Relative trajectory paths are resolved against the list file's
-    directory; each file is read by read_trajectory_2d.
+    directory (one string join per entry; an absolute entry stands as
+    is); each file is read by read_trajectory_2d.
 
     Raises:
         ParseError: missing file, malformed coordinate pair, or an empty
-            trajectory; the message names the offending file/line.
+            trajectory; the message names the offending file/line, paths
+            printed as pathlib prints them.
     """
-    list_path = Path(list_path)
-    base = list_path.parent
+    base = os.path.dirname(list_path)
     curves: list[Curve] = []
-    with list_path.open("r", encoding="utf-8") as fh:
+    with open(list_path, "r", encoding="utf-8") as fh:
         entries = [ln.strip() for ln in fh if ln.strip()]
     if not entries:
-        raise ParseError(f"{list_path}: no trajectory files listed")
+        raise ParseError(f"{Path(list_path)}: no trajectory files listed")
     for entry in entries:
-        tpath = Path(entry)
-        if not tpath.is_absolute():
-            tpath = base / tpath
-        if not tpath.is_file():
-            raise ParseError(f"{list_path}: trajectory file not found: {tpath}")
+        tpath = os.path.join(base, entry)
+        if not os.path.isfile(tpath):
+            raise ParseError(f"{Path(list_path)}: trajectory file not found: {Path(tpath)}")
         curves.append(read_trajectory_2d(tpath, len(curves)))
     return Dataset(curves)
 

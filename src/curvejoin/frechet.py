@@ -6,15 +6,20 @@ decision procedure for the continuous distance, cheap one-sided filters
 position scan), a simplification-based pre-check with error budgets, and
 the cascade that combines them into a decisive Near/Far answer.
 
-The cascade's one-sided steps run on Python floats (`tolist()` vertices):
-on curves of a few dozen vertices numpy's per-call overhead costs more
-than the arithmetic. Every vertex distance is curves._dist, the square
-root of the squared coordinate differences added in coordinate order, and
-the array code that shares a test with it (decide_continuous's block
-window kernel, exact_join's endpoint arrays) sums in the same order, so
-the two agree bit for bit. The negative filter is a lazy scan, O(m + n)
-edge windows per direction; the block window kernel serves only
-decide_continuous, where a wide band visits many cells per row.
+The cascade's one-sided steps run on Python floats: on curves of a few
+dozen vertices numpy's per-call overhead costs more than the arithmetic.
+They read each curve's prepared view (see curves.Curve): its float
+vertices, edge deltas and squared edge lengths, bounding box and
+coordinate columns are computed once per curve, and a simplification that
+drops no vertex is the curve itself, so every step and every eps level of
+a pair reads the same prepared data. Every vertex distance is
+curves._dist, the square root of the squared coordinate differences added
+in coordinate order, and the array code that shares a test with it
+(decide_continuous's block window kernel, exact_join's endpoint arrays)
+sums in the same order, so the two agree bit for bit. The negative filter
+is a lazy scan, O(m + n) edge windows per direction; the block window
+kernel serves only decide_continuous, where a wide band visits many cells
+per row.
 
 All comparisons against the radius are exact floating-point comparisons;
 a pair at distance exactly r counts as Near. Every function here is a
@@ -169,21 +174,15 @@ def _ball_windows(starts, deltas, points, r: float) -> tuple[np.ndarray, np.ndar
     return lo, hi
 
 
-def _coords(V: np.ndarray) -> list[np.ndarray]:
-    """The coordinate columns of a vertex array, each contiguous."""
-    return [np.ascontiguousarray(V[:, u]) for u in range(V.shape[1])]
-
-
-def _ball_window(start, end, point, r: float) -> tuple[float, float]:
-    """The window of one edge, start to end, within r of one point, all as
-    float sequences: _ball_windows' arithmetic, operation for operation."""
+def _ball_window(start, delta, aa: float, point, r: float) -> tuple[float, float]:
+    """The window of one edge within r of one point: _ball_windows'
+    arithmetic, operation for operation. The edge is its start, its delta
+    (end - start) and its squared length aa, the point a float sequence;
+    a curve's prepared edges supply delta and aa."""
     w = [s - x for s, x in zip(start, point)]
-    delta = [e - s for s, e in zip(start, end)]
-    aa = delta[0] * delta[0]
     wd = w[0] * delta[0]
     d = len(w)
     for u in range(1, d):
-        aa = aa + delta[u] * delta[u]
         wd = wd + w[u] * delta[u]
     if aa == 0.0:
         ww = w[0] * w[0]
@@ -235,31 +234,24 @@ def decide_continuous(p: Curve, q: Curve, r: float) -> bool:
     visits only the reachable band's cells.
     """
     _check_pair(p, q, r)
-    P, Q = p.vertices, q.vertices
-    if max(_endpoint_dists(P, Q)) > r:
+    if max(_endpoint_dists(p, q)) > r:
         return False
-    if len(P) == 1:
-        return _point_curve_within(P[0].tolist(), Q.tolist(), r)
-    if len(Q) == 1:
-        return _point_curve_within(Q[0].tolist(), P.tolist(), r)
-    if len(Q) > len(P):
-        P, Q = Q, P  # rows run along the longer curve
+    if len(p) == 1:
+        return _point_curve_within(p._points[0], q._points, r)
+    if len(q) == 1:
+        return _point_curve_within(q._points[0], p._points, r)
+    if len(q) > len(p):
+        p, q = q, p  # rows run along the longer curve
 
-    m, n = len(P), len(Q)
-    Pc, Qc = _coords(P), _coords(Q)
-    p_deltas = [c[1:] - c[:-1] for c in Pc]
+    m, n = len(p), len(q)
+    Pc, p_deltas = p._columns
+    Qc, q_deltas = q._columns
     q_starts = [c[:-1] for c in Qc]
-    q_deltas = [c[1:] - c[:-1] for c in Qc]
 
-    # Free intervals on the bottom line (p-parameter = 0), which is
-    # reachable only as a contiguous prefix of columns.
-    (hlo,), (hhi,) = _ball_windows(q_starts, q_deltas, [c[:1, None] for c in Pc], r)
-    prefix = (hhi[:-1] == 1.0) & (hlo[1:] == 0.0)
-    last = n - 2 if prefix.all() else int(np.argmin(prefix))
     # entry[j]: the smallest reachable parameter on the current line in
     # column j, None = blocked; reachable entries lie in columns first..last.
-    entry: list[float | None] = [0.0] * (last + 1) + [None] * (n - 2 - last)
-    first = 0
+    entry: list[float | None] = []
+    first = last = 0
 
     leftline: float | None = 0.0  # entry on the q-parameter = 0 boundary
     rightline = False  # the q-parameter = n-1 boundary is reachable
@@ -272,13 +264,22 @@ def decide_continuous(p: Curve, q: Curve, r: float) -> bool:
         c0 = 0 if leftline is not None else first
         # Vertical boundaries of row i: per q-vertex j, the t-range where
         # p-edge i passes within r of Q[j]. Horizontal line i+1: per q-edge
-        # j, the s-range where P[i+1] is within r of the edge.
+        # j, the s-range where P[i+1] is within r of the edge; the first
+        # block also computes line 0, the bottom line.
         vlo_rows, vhi_rows = _ball_windows(
             [c[rows, None] for c in Pc], [c[rows, None] for c in p_deltas],
             [c[None, c0:] for c in Qc], r)
         hlo_rows, hhi_rows = _ball_windows(
             [c[None, c0:] for c in q_starts], [c[None, c0:] for c in q_deltas],
-            [c[rows.start + 1:rows.stop + 1, None] for c in Pc], r)
+            [c[rows.start + (b > 0):rows.stop + 1, None] for c in Pc], r)
+        if b == 0:
+            # Free intervals on the bottom line (p-parameter = 0), which is
+            # reachable only as a contiguous prefix of columns.
+            hlo, hhi = hlo_rows[0], hhi_rows[0]
+            hlo_rows, hhi_rows = hlo_rows[1:], hhi_rows[1:]
+            prefix = (hhi[:-1] == 1.0) & (hlo[1:] == 0.0)
+            last = n - 2 if prefix.all() else int(np.argmin(prefix))
+            entry = [0.0] * (last + 1) + [None] * (n - 2 - last)
 
         for i, vlo, vhi, hlo, hhi in zip(
                 range(b, rows.stop), vlo_rows, vhi_rows, hlo_rows, hhi_rows):
@@ -361,7 +362,7 @@ def estimate_continuous(
     """
     check_positive("rel_tol", rel_tol)
     _check_dims(p, q)
-    lo = max(_endpoint_dists(p.vertices, q.vertices))
+    lo = max(_endpoint_dists(p, q))
     hi = discrete_frechet(p, q)
     if hi > lo and decide_continuous(p, q, lo):
         hi = lo
@@ -388,16 +389,16 @@ def estimate_continuous(
 # One-sided filters and heuristics
 
 
-def _endpoint_dists(P: np.ndarray, Q: np.ndarray) -> tuple[float, float]:
-    """The distances of the first and of the last vertices of two arrays."""
-    (p0, p1), (q0, q1) = P[[0, -1]].tolist(), Q[[0, -1]].tolist()
-    return _dist(p0, q0), _dist(p1, q1)
+def _endpoint_dists(p: Curve, q: Curve) -> tuple[float, float]:
+    """The distances of the first and of the last vertices of two curves."""
+    P, Q = p._points, q._points
+    return _dist(P[0], Q[0]), _dist(P[-1], Q[-1])
 
 
 def endpoints_filter(p: Curve, q: Curve, r: float) -> VerificationOutcome:
     """Far when either endpoint pair is farther than r; never Near."""
     _check_pair(p, q, r)
-    if max(_endpoint_dists(p.vertices, q.vertices)) > r:
+    if max(_endpoint_dists(p, q)) > r:
         return VerificationOutcome(Verdict.FAR, "endpoints")
     return VerificationOutcome(Verdict.UNKNOWN, "endpoints")
 
@@ -415,14 +416,14 @@ def bbox_filter(p: Curve, q: Curve, r: float) -> VerificationOutcome:
     return VerificationOutcome(Verdict.UNKNOWN, "bbox")
 
 
-def _point_at(V: list, u: float) -> list:
-    """The point of a polyline (a list of float sequences) at fractional
-    vertex index u: V[i] + (u - i) * (V[i + 1] - V[i]) on the edge i holding u."""
+def _point_at(V, D, u: float):
+    """The point of a polyline (float vertices V, edge deltas D) at
+    fractional vertex index u: V[i] + (u - i) * D[i] on the edge i holding u."""
     if len(V) == 1:
         return V[0]
     i = min(int(u), len(V) - 2)
     f = u - i
-    return [a + f * (b - a) for a, b in zip(V[i], V[i + 1])]
+    return [a + f * b for a, b in zip(V[i], D[i])]
 
 
 def equal_time_upper(p: Curve, q: Curve, r: float) -> VerificationOutcome:
@@ -434,19 +435,33 @@ def equal_time_upper(p: Curve, q: Curve, r: float) -> VerificationOutcome:
     than r. Never Far.
     """
     _check_pair(p, q, r)
-    P, Q = p.vertices.tolist(), q.vertices.tolist()
+    P, Q = p._points, q._points
+    DP, DQ = p._edges[0], q._edges[0]
     mp, mq = len(P) - 1, len(Q) - 1
+    witness = []
     if mp == 0 or mq == 0:
         # a single vertex stays put while the other curve visits its vertices
-        positions = [(float(k) if mp else 0.0, float(k) if mq else 0.0)
-                     for k in range(max(mp, mq) + 1)]
-    else:
-        # the fractions i/mp and j/mq, merged exactly over denominator mp*mq
-        nums = sorted({*range(0, mp * mq + 1, mq), *range(0, mp * mq + 1, mp)})
-        positions = ((k / mq, k / mp) for k in nums)
-    witness = []
-    for u_p, u_q in positions:
-        if not _dist(_point_at(P, u_p), _point_at(Q, u_q)) <= r:
+        for k in range(max(mp, mq) + 1):
+            u_p, u_q = float(k) if mp else 0.0, float(k) if mq else 0.0
+            if not _dist(_point_at(P, DP, u_p), _point_at(Q, DQ, u_q)) <= r:
+                return VerificationOutcome(Verdict.UNKNOWN, "equal-time")
+            witness.append((u_p, u_q))
+        return VerificationOutcome(Verdict.NEAR, "equal-time", witness)
+    # the fractions i/mp and j/mq, merged exactly over denominator mp*mq
+    for k in sorted({*range(0, mp * mq + 1, mq), *range(0, mp * mq + 1, mp)}):
+        u_p, u_q = k / mq, k / mp
+        # _dist(_point_at(P, DP, u_p), _point_at(Q, DQ, u_q)), inlined
+        i, j = int(u_p), int(u_q)
+        if i == mp:
+            i -= 1
+        if j == mq:
+            j -= 1
+        f, g = u_p - i, u_q - j
+        s = 0.0
+        for a, da, b, db in zip(P[i], DP[i], Q[j], DQ[j]):
+            t = (a + f * da) - (b + g * db)
+            s += t * t
+        if not math.sqrt(s) <= r:
             return VerificationOutcome(Verdict.UNKNOWN, "equal-time")
         witness.append((u_p, u_q))
     return VerificationOutcome(Verdict.NEAR, "equal-time", witness)
@@ -461,7 +476,7 @@ def greedy_upper(p: Curve, q: Curve, r: float) -> VerificationOutcome:
     the discrete and hence the continuous distance. Never Far.
     """
     _check_pair(p, q, r)
-    P, Q = p.vertices.tolist(), q.vertices.tolist()
+    P, Q = p._points, q._points
     m, n = len(P), len(Q)
     i = j = 0
     witness = [(0.0, 0.0)]
@@ -483,33 +498,35 @@ def greedy_upper(p: Curve, q: Curve, r: float) -> VerificationOutcome:
     return VerificationOutcome(Verdict.NEAR, "greedy", witness)
 
 
-def _monotone_position_scan(A: list, B: list, r: float) -> bool:
-    """True when every vertex of A admits a monotone match on polyline B
-    (both lists of float sequences).
+def _monotone_position_scan(a: Curve, b: Curve, r: float) -> bool:
+    """True when every vertex of curve a admits a monotone match on the
+    polyline of curve b.
 
-    Maintains the earliest position on B (never decreasing) within r of
-    each successive vertex of A; failure certifies that no continuous
+    Maintains the earliest position on b (never decreasing) within r of
+    each successive vertex of a; failure certifies that no continuous
     traversal can align the curves within r. The scan is lazy: a vertex
     tests the edge holding the current position, then later edges until
     one matches, and the position never moves back, so one scan computes
-    O(|A| + |B|) edge windows.
+    O(|a| + |b|) edge windows, each from b's prepared edge terms.
     """
+    A, B = a._points, b._points
     nb = len(B)
     if nb == 1:
         return _point_curve_within(B[0], A, r)
+    D, AA = b._edges
     cur = 0.0
-    for a in A:
+    for x in A:
         e = min(int(cur), nb - 2)
         # Only the edge holding cur can clip the window at cur; on any later
         # edge e + lo > cur, so a nonempty window matches at e + lo.
-        lo, hi = _ball_window(B[e], B[e + 1], a, r)
+        lo, hi = _ball_window(B[e], D[e], AA[e], x, r)
         if lo <= hi:
             start = max(cur, e + lo)
             if start <= e + hi:
                 cur = start
                 continue
         for e in range(e + 1, nb - 1):
-            lo, hi = _ball_window(B[e], B[e + 1], a, r)
+            lo, hi = _ball_window(B[e], D[e], AA[e], x, r)
             if lo <= hi:
                 cur = e + lo
                 break
@@ -522,8 +539,7 @@ def negative_filter(p: Curve, q: Curve, r: float) -> VerificationOutcome:
     """Far when some vertex of one curve has no monotone match on the
     other's polyline; applied in both directions. Never Near."""
     _check_pair(p, q, r)
-    P, Q = p.vertices.tolist(), q.vertices.tolist()
-    if not _monotone_position_scan(P, Q, r) or not _monotone_position_scan(Q, P, r):
+    if not _monotone_position_scan(p, q, r) or not _monotone_position_scan(q, p, r):
         return VerificationOutcome(Verdict.FAR, "negative-filter")
     return VerificationOutcome(Verdict.UNKNOWN, "negative-filter")
 
@@ -581,9 +597,10 @@ class SimplifiedCopies:
     use and kept.
 
     A copy is keyed by (curve id, mu), and the budgets mu depend only on r
-    and eps, so one store serves a whole join at one (r, eps_list). Ids are
-    only unique within a dataset: pass a store only curves of the dataset
-    it was made for.
+    and eps, so one store serves a whole join at one (r, eps_list). An
+    entry is the curve itself when the simplification drops no vertex, so
+    the copies share the curve's prepared view. Ids are only unique within
+    a dataset: pass a store only curves of the dataset it was made for.
     """
 
     def __init__(self):

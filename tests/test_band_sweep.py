@@ -101,8 +101,11 @@ def window_knife_edges(start, end, point) -> list:
 
 
 def assert_same_window(start, end, point, r: float) -> None:
-    # equal as floats: the lo or hi of 0 may differ in the sign of zero only
-    assert _ball_window(start, end, point, r) == kernel_window(start, end, point, r), (
+    # the scalar window reads the edge's delta and squared length from the
+    # prepared view of a curve holding the edge; equal as floats: the lo or
+    # hi of 0 may differ in the sign of zero only
+    ((delta,), (aa,)) = Curve(0, [start, end])._edges
+    assert _ball_window(start, delta, aa, point, r) == kernel_window(start, end, point, r), (
         start, end, point, r)
 
 
@@ -148,10 +151,10 @@ def test_scans_that_run_to_the_last_edge():
         for tail in (B[-1], B[-1] + off * r * 0.999, B[-1] + off * r * 1.001,
                      B[-1] + off * 100.0):
             A = np.vstack([B[:1], tail])
-            got = _monotone_position_scan(A.tolist(), B.tolist(), r)
+            a, b = Curve(0, A), Curve(1, B)
+            got = _monotone_position_scan(a, b, r)
             assert got == monotone_position_scan_scalar(A, B, r)
             fars += not got
-            a, b = Curve(0, A), Curve(1, B)
             assert_same(a, b, r)
     assert fars > 150
 

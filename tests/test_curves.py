@@ -304,6 +304,42 @@ class TestTrajectoryFormat:
         with pytest.raises(ParseError, match="not found"):
             parse_trajectories_2d(lst)
 
+    @pytest.mark.parametrize("relative_list", [False, True])
+    def test_entry_forms_and_error_texts(self, tmp_path, monkeypatch, relative_list):
+        # Entries resolve by a string join; error texts print each path as
+        # pathlib prints the list file's parent joined with the entry.
+        (tmp_path / "a.txt").write_text("1 2\n")
+        (tmp_path / "bad.txt").write_text("1 2\n3 oops\n")
+        (tmp_path / "sub").mkdir()
+        lst = tmp_path / "files.txt"
+        if relative_list:
+            monkeypatch.chdir(tmp_path)
+            lst_arg = "./files.txt"
+        else:
+            lst_arg = str(lst)
+
+        def resolved(entry):
+            return Path(lst_arg).parent / Path(entry)
+
+        for entries, want in [
+            (["./a.txt", str(tmp_path / "a.txt"), "a.txt"], None),
+            (["a.txt", "ghost.txt"],
+             f"{Path(lst_arg)}: trajectory file not found: {resolved('ghost.txt')}"),
+            (["./sub"], f"{Path(lst_arg)}: trajectory file not found: {resolved('./sub')}"),
+            (["sub/"], f"{Path(lst_arg)}: trajectory file not found: {resolved('sub/')}"),
+            (["./bad.txt"], f"{resolved('./bad.txt')}:2:2: non-numeric field 'oops'"),
+            ([str(tmp_path / "bad.txt")],
+             f"{tmp_path / 'bad.txt'}:2:2: non-numeric field 'oops'"),
+        ]:
+            lst.write_text("".join(e + "\n" for e in entries))
+            if want is None:
+                ds = parse_trajectories_2d(lst_arg)
+                assert [c.vertices.tolist() for c in ds] == [[[1.0, 2.0]]] * 3
+            else:
+                with pytest.raises(ParseError) as err:
+                    parse_trajectories_2d(lst_arg)
+                assert str(err.value) == want
+
     def test_empty_trajectory(self, tmp_path):
         (tmp_path / "a.txt").write_text("# nothing\n")
         lst = tmp_path / "files.txt"
