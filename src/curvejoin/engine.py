@@ -8,12 +8,11 @@ positive). Verified Far candidates are dropped, everything else is
 reported.
 
 The self join runs one range query per curve and merges the unordered
-pairs. It decides each candidate pair once: the first query that selects
-a pair runs the cascade, and the other side reuses that outcome (or
-re-runs only the order-dependent heuristics), with every simplified copy
-built once per join. The exact join filters all pairs by endpoints and
-bounding boxes as arrays and verifies the survivors; it is the ground
-truth.
+pairs. It decides each selected pair once, in the order the exact join
+decides it (lower id first), and both queries of the pair report that
+outcome; every simplified copy is built once per join. The exact join
+filters all pairs by endpoints and bounding boxes as arrays and verifies
+the survivors; it is the ground truth.
 """
 
 from __future__ import annotations
@@ -35,7 +34,6 @@ from .frechet import (
     check_eps_list,
     estimate_continuous,
     verify,
-    verify_heur,
 )
 from .lsh import LshIndex, LshParams, build_index, query_scores
 
@@ -236,43 +234,6 @@ class JoinReport:
         return self.n_curves * (self.n_curves - 1) // 2
 
 
-# Stages from which the cascade's outcome depends on argument order:
-# greedy_upper breaks ties between its moves in a fixed order, and
-# decide_continuous keeps the argument order on equal-length curves. The
-# filters before them compare symmetric quantities, and equal_time_upper
-# traverses both curves at once.
-_ORDER_DEPENDENT_STAGES = ("greedy", "negative-filter", "full-verify")
-
-
-class _DecideOnce:
-    """Decides each unordered pair of one dataset's curves once.
-
-    The first side to select a pair runs the cascade, reading simplified
-    copies from one store. The other side reuses that outcome when it was
-    settled before the order-dependent stages, and otherwise re-runs only
-    verify_heur in its own argument order, which is what its own cascade
-    would reach. Either way each side gets the outcome verify would give
-    it.
-    """
-
-    def __init__(self, cfg: QueryConfig):
-        self.r, self.eps_list = cfg.r, cfg.eps_list
-        self.copies = SimplifiedCopies()
-        self.first: dict[tuple[int, int], VerificationOutcome] = {}
-        self.cascade_runs = 0
-        self.heur_reruns = 0
-
-    def __call__(self, p: Curve, q: Curve) -> VerificationOutcome:
-        out = self.first.pop((q.id, p.id), None)
-        if out is None:
-            self.cascade_runs += 1
-            out = self.first[(p.id, q.id)] = verify(p, q, self.r, self.eps_list, self.copies)
-        elif out.stage in _ORDER_DEPENDENT_STAGES:
-            self.heur_reruns += 1
-            out = verify_heur(p, q, self.r)
-        return out
-
-
 def self_join(
     dataset: Dataset,
     params: LshParams,
@@ -281,16 +242,27 @@ def self_join(
 ) -> JoinReport:
     """Range-query every curve against the rest and merge unordered pairs.
 
-    A pair is reported when at least one side kept it and neither side
-    verified it Far; with tau = 1 every reported pair carries a Near
-    certificate. Each side's query records the stage and verdict that
-    verify would give in its own argument order, but a pair that both
-    sides select runs the cascade once (see _DecideOnce).
+    Every selected unordered pair is decided once, as verify(lower-id
+    curve, higher-id curve), the call exact_join makes for it, with every
+    simplified copy built once per join; both sides' query records carry
+    that one outcome. A pair is reported when it was decided Near, or when
+    no side selected it and at least one kept it unverified; with tau = 1
+    the pairs equal exact_join's.
     """
     t0 = time.perf_counter()
     idx = build_index(dataset, params)
     build_seconds = time.perf_counter() - t0
-    decide = _DecideOnce(cfg)
+    r, eps_list = cfg.r, cfg.eps_list
+    copies = SimplifiedCopies()
+    outcomes: dict[tuple[int, int], VerificationOutcome] = {}
+
+    def decide(p: Curve, q: Curve) -> VerificationOutcome:
+        if p.id > q.id:
+            p, q = q, p
+        pair = (p.id, q.id)
+        if pair not in outcomes:
+            outcomes[pair] = verify(p, q, r, eps_list, copies)
+        return outcomes[pair]
 
     def run(c: Curve) -> QueryRecord:
         tq = time.perf_counter()
@@ -301,32 +273,22 @@ def self_join(
     records = tuple(run(c) for c in dataset)
     query_seconds = time.perf_counter() - t1
 
-    # a pair's slot goes to the first verified verdict, in query-id order,
-    # and holds the unverified placeholder only until one arrives
-    decided: dict[tuple[int, int], tuple[str, str]] = {}
-    removed: set[tuple[int, int]] = set()
-    positive: set[tuple[int, int]] = set()
+    decided = {pair: (out.stage, out.verdict.value) for pair, out in outcomes.items()}
     candidates = selected = 0
     for rec in records:
         candidates += rec.result.candidates
         for dec in rec.result.kept + rec.result.rejected:
-            pair = _norm_pair((rec.query_id, dec.curve_id))
             if dec.verdict == "unverified":
+                pair = _norm_pair((rec.query_id, dec.curve_id))
                 decided.setdefault(pair, ("unverified-positive", "unverified"))
             else:
                 selected += 1
-                if decided.get(pair, (None, "unverified"))[1] == "unverified":
-                    decided[pair] = (dec.stage, dec.verdict)
-            (removed if dec.verdict == "far" else positive).add(pair)
-    # a Far verdict from either endpoint is authoritative: the cascade
-    # agrees with the exact decision, so the other side cannot say Near
-    pairs = tuple(sorted(positive - removed))
+    pairs = tuple(sorted(pair for pair, (_, verdict) in decided.items() if verdict != "far"))
     counters = {
         "candidates": candidates,
         "selected": selected,
-        "pairs_verified": decide.cascade_runs,
-        "heur_reruns": decide.heur_reruns,
-        "simplified_copies": len(decide.copies),
+        "pairs_verified": len(outcomes),
+        "simplified_copies": len(copies),
     }
 
     rep_metrics = metrics(pairs, truth) if truth is not None else None
@@ -352,8 +314,12 @@ def exact_join(dataset: Dataset, r: float, eps_list=DEFAULT_EPS_LIST) -> tuple:
     endpoints_filter's, so the arrays drop exactly the pairs those filters
     reject. Only the pairs that pass go through verify, which makes the
     final call, with one store of simplified copies for the whole call.
+    The radius and eps_list are checked up front, even when no pair
+    reaches verify.
     """
     check_positive("r", r)
+    eps_list = tuple(eps_list)
+    check_eps_list(eps_list)
     copies = SimplifiedCopies()
     firsts = np.array([c.vertices[0] for c in dataset])
     lasts = np.array([c.vertices[-1] for c in dataset])
@@ -434,9 +400,8 @@ def summary_dict(report: JoinReport) -> dict:
 
     "counters" holds the join's deterministic work counts: candidates and
     selected (summed over the queries, so a pair counts once per side),
-    pairs_verified (cascade runs), heur_reruns (verify_heur re-runs by a
-    pair's second side) and simplified_copies (copies built in the join's
-    store).
+    pairs_verified (cascade runs, one per selected unordered pair) and
+    simplified_copies (copies built in the join's store).
     """
     p, cfg = report.params, report.config
     out = {

@@ -555,14 +555,22 @@ def equal_time_max_arrays(p: Curve, q: Curve) -> tuple[float, list]:
 
 
 def self_join_two_sided(dataset: Dataset, params, cfg, truth=None):
-    """Oracle: one range query per curve, each verifying its own selected
-    candidates through verify, merged exactly as engine.self_join merges."""
+    """Oracle: one range query per curve, each deciding every candidate it
+    selects with a fresh verify(lower-id curve, higher-id curve), with no
+    memo and no store of copies. A pair's slot goes to the first verified
+    verdict in query-id order; a pair is reported when some side kept it
+    and no side verified it Far."""
     from curvejoin.engine import JoinReport, metrics, range_query
     from curvejoin.lsh import build_index
 
+    def decide(p, q):
+        lo, hi = (p, q) if p.id < q.id else (q, p)
+        return verify(lo, hi, cfg.r, cfg.eps_list)
+
     idx = build_index(dataset, params)
     records = tuple(
-        QueryRecord(c.id, range_query(idx, dataset, c, cfg, exclude_id=c.id), 0.0)
+        QueryRecord(c.id, range_query(idx, dataset, c, cfg, exclude_id=c.id,
+                                      decide=decide), 0.0)
         for c in dataset)
     decided: dict = {}
     removed: set = set()

@@ -178,8 +178,7 @@ class TestSelfJoinCmd:
             blocks.append(json.dumps(json.loads(out)["counters"]))
         assert blocks[0] == blocks[1] == blocks[2]
         assert list(json.loads(blocks[0])) == [
-            "candidates", "selected", "pairs_verified", "heur_reruns",
-            "simplified_copies"]
+            "candidates", "selected", "pairs_verified", "simplified_copies"]
 
     def test_percentile_radius_resolves(self, series_path, capsys):
         code, out, _ = run(

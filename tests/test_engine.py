@@ -22,7 +22,7 @@ from curvejoin.engine import (
     stage_histogram,
     summary_dict,
 )
-from curvejoin.frechet import Verdict, decide_continuous, endpoints_filter
+from curvejoin.frechet import Verdict, decide_continuous, endpoints_filter, verify
 from curvejoin.lsh import LshParams, build_index
 
 from helpers import (
@@ -314,6 +314,20 @@ class TestExactJoin:
         with pytest.raises(ValueError, match="finite"):
             exact_join(data, r)
 
+    @pytest.mark.parametrize("eps_list", [(1.0, 10.0), (), (math.nan,)],
+                             ids=["increasing", "empty", "nan"])
+    def test_rejects_bad_eps_list_when_every_pair_is_filtered(self, eps_list):
+        # the endpoints pre-filter drops the only pair, so no verify call
+        # would see the list
+        data = Dataset([Curve(0, [0.0, 1.0]), Curve(1, [50.0, 51.0])])
+        with pytest.raises(ValueError, match="eps"):
+            exact_join(data, 1.0, eps_list)
+
+    def test_eps_list_may_be_a_generator(self):
+        data, truth, cfg, params = small_join_setup()
+        got = exact_join(data, cfg.r, (eps for eps in cfg.eps_list))
+        assert got == exact_join(data, cfg.r, cfg.eps_list)
+
 
 class TestMetrics:
     def test_hand_worked_counts(self):
@@ -468,24 +482,49 @@ class TestSelfJoinDecidesOnce:
             assert stage_histogram(got) == stage_histogram(want)
             assert query_rows(got) == query_rows(want)
 
-    def test_corpus_reaches_order_dependent_stages(self):
-        # some pairs get a different stage from each side, so reusing the
-        # first side's outcome for them would change the query rows
-        differ = reruns = 0
+    def test_argument_order_ties_carry_one_outcome_from_both_sides(self):
+        # pairs whose verify stage depends on argument order: both queries
+        # report the outcome of verify(lower id, higher id)
+        ties = 0
         for seed in range(2):
             for d in (1, 2):
                 data, cfg, params = family_join(seed, d, "half-grid-repeats", 1.0)
-                report = self_join_two_sided(data, params, cfg)
-                stages: dict = {}
-                for rec in report.queries:
+                rows: dict = {}
+                for rec in self_join(data, params, cfg).queries:
                     for dec in rec.result.kept + rec.result.rejected:
                         pair = (min(rec.query_id, dec.curve_id),
                                 max(rec.query_id, dec.curve_id))
-                        stages.setdefault(pair, set()).add(dec.stage)
-                differ += sum(len(s) > 1 for s in stages.values())
-                reruns += self_join(data, params, cfg).counters["heur_reruns"]
-        assert differ > 0
-        assert reruns >= differ
+                        rows.setdefault(pair, []).append((dec.stage, dec.verdict))
+                for (i, j), seen in rows.items():
+                    want = verify(data[i], data[j], cfg.r, cfg.eps_list)
+                    if want.stage == verify(data[j], data[i], cfg.r, cfg.eps_list).stage:
+                        continue
+                    ties += 1
+                    assert seen == [(want.stage, want.verdict.value)] * 2
+        assert ties > 0
+
+
+class TestJoinEqualsTheGroundTruth:
+    # at tau = 1 every decided pair carries the outcome of the call
+    # exact_join makes for it, and the reported pairs are exact_join's
+    @staticmethod
+    def assert_decided_as_exact_join(data, cfg, params):
+        report = self_join(data, params, cfg)
+        assert report.decided
+        for (i, j), got in report.decided.items():
+            out = verify(data[i], data[j], cfg.r)
+            assert got == (out.stage, out.verdict.value)
+        assert report.pairs == exact_join(data, cfg.r)
+
+    @pytest.mark.parametrize("variant", sorted(FAMILY_VARIANTS))
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_walk_families(self, d, variant):
+        for seed in range(2):
+            self.assert_decided_as_exact_join(*family_join(seed, d, variant, 1.0))
+
+    def test_clustered_set(self):
+        data, truth, cfg, params = small_join_setup(tau=1.0)
+        self.assert_decided_as_exact_join(data, cfg, params)
 
 
 class TestJoinCounters:
@@ -501,7 +540,6 @@ class TestJoinCounters:
             assert c["selected"] == sum(dec.verdict != "unverified"
                                         for dec in decisions)
             assert c["pairs_verified"] == len(selected_pairs(report))
-            assert c["heur_reruns"] <= c["selected"] - c["pairs_verified"]
             assert c["simplified_copies"] <= data.n * 2 * len(cfg.eps_list)
             if tau == 0.0:
                 assert c["pairs_verified"] == c["simplified_copies"] == 0
