@@ -23,6 +23,7 @@ from .curves import (
     Curve,
     Dataset,
     ParseError,
+    _open_text,
     check_positive,
     densify,
     parse_series_1d,
@@ -91,7 +92,7 @@ def _resolve_radius(args, data: Dataset) -> float:
 
 def _read_pairs_csv(path: str) -> list:
     pairs = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with _open_text(path, newline="") as fh:
         for lineno, row in enumerate(csv.reader(fh), start=1):
             if not row or (lineno == 1 and row[0].strip().lower() == "ida"):
                 continue

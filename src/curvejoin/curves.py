@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 import os
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -266,6 +267,17 @@ def densify(p: Curve, max_edge: float) -> Curve:
     return Curve(p.id, np.concatenate(pieces, axis=0))
 
 
+@contextmanager
+def _open_text(path: str | Path, newline: str | None = None):
+    """Open a UTF-8 text file for reading. A byte that does not decode,
+    met anywhere in the block, raises ParseError naming the file."""
+    with open(path, "r", encoding="utf-8", newline=newline) as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{Path(path)}: not UTF-8 text ({exc.reason})") from exc
+
+
 def _fields(raw: str) -> list[str]:
     """A line's fields, split on commas and/or whitespace runs; [] for a
     blank line. str.split is the fast path for comma-free lines and splits
@@ -301,11 +313,13 @@ def parse_series_1d(path: str | Path, skip_first_field: bool = False) -> Dataset
 
     Raises:
         ParseError: non-numeric or non-finite field, or a line left empty
-            after the label is skipped; the message names line and column.
+            after the label is skipped, or a file that is not UTF-8 text;
+            the message names the file, and line and column where they
+            apply.
     """
     path = Path(path)
     curves: list[Curve] = []
-    with path.open("r", encoding="utf-8") as fh:
+    with _open_text(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             fields = _fields(raw)
             if not fields:
@@ -325,12 +339,13 @@ def read_trajectory_2d(path: str | Path, cid: int) -> Curve:
     """Load one trajectory file: an "x y" pair per line, '#' lines ignored.
 
     Raises:
-        ParseError: malformed or non-finite coordinate pair, or an empty
-            trajectory; the message names the offending file/line, as
-            the Path of `path` prints it (formatted only then).
+        ParseError: malformed or non-finite coordinate pair, an empty
+            trajectory, or a file that is not UTF-8 text; the message names
+            the offending file/line, as the Path of `path` prints it
+            (formatted only then).
     """
     rows: list[list[float]] = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with _open_text(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             fields = _fields(raw)
             if not fields or fields[0].startswith("#"):
@@ -353,13 +368,14 @@ def parse_trajectories_2d(list_path: str | Path) -> Dataset:
     is); each file is read by read_trajectory_2d.
 
     Raises:
-        ParseError: missing file, malformed coordinate pair, or an empty
-            trajectory; the message names the offending file/line, paths
-            printed as pathlib prints them.
+        ParseError: missing file, malformed coordinate pair, an empty
+            trajectory, or a file that is not UTF-8 text; the message
+            names the offending file/line, paths printed as pathlib
+            prints them.
     """
     base = os.path.dirname(list_path)
     curves: list[Curve] = []
-    with open(list_path, "r", encoding="utf-8") as fh:
+    with _open_text(list_path) as fh:
         entries = [ln.strip() for ln in fh if ln.strip()]
     if not entries:
         raise ParseError(f"{Path(list_path)}: no trajectory files listed")

@@ -134,9 +134,12 @@ def range_query(
 
     The ceil(tau * candidates) lowest-score candidates (ties by id) are
     decided by the verification cascade, or by decide(q, candidate) when
-    given; the rest are reported as unverified positives. The index grid
-    must match the configuration; an external query is hashed on that
-    grid whatever its edge lengths.
+    given; the rest are reported as unverified positives. idx must index
+    dataset: every candidate id is resolved there. The index grid must
+    match the configuration. A query that is the dataset's own curve
+    object (dataset[q.id] is q) is scored from its stored key row; any
+    other curve, even an equal one, is hashed on the index's grid whatever
+    its edge lengths.
     """
     expected = cfg.grid_delta(dataset)
     if idx.params.delta != expected:
@@ -144,7 +147,8 @@ def range_query(
             f"index grid {idx.params.delta} does not match configuration "
             f"grid {expected}; rebuild the index for this config"
         )
-    cands = query_scores(idx, q)
+    row = q.id if 0 <= q.id < dataset.n and dataset[q.id] is q else None
+    cands = query_scores(idx, q, row=row)
     if exclude_id is not None:
         cands = [s for s in cands if s.curve_id != exclude_id]
     nsel = math.ceil(cfg.tau * len(cands))

@@ -22,7 +22,9 @@ curve) polynomial is one segment of a single prefix sum over the block
 into slots as (acc, a**count), and the polynomial of slot i followed by
 slot j is acc_i * a**count_j + acc_j, so all L keys of a curve come from
 one (L', 1) x (1, L') broadcast. The index is one (n, L) key matrix;
-queries search one sorted run of (table, key) words derived from it.
+queries search one sorted run of (table, key) words derived from it. A
+query that is a stored curve is not hashed or searched at all: its groups
+of equal words are read from a table built once from the run.
 
 Everything is derived deterministically from a 64-bit seed via
 counter-based PRNG streams, one per (group, table slot, concatenation
@@ -35,6 +37,7 @@ import hashlib
 import math
 import struct
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -169,7 +172,10 @@ class LshIndex:
     keys[c, i * l_prime + j] is curve c's key in table (i, j). The grid
     shifts and the fold's multiplier and mixers are re-derived from params,
     and the sorted run of (table << 32) | key words, with the curve id of
-    each word, from keys.
+    each word, from keys. The group table `_groups` is built from the run
+    on the first query that names a stored row, so building or loading an
+    index never pays for it, and an index queried only by external curves
+    never builds it.
     """
 
     params: LshParams
@@ -196,6 +202,27 @@ class LshIndex:
         object.__setattr__(self, "_grids", _draw_grids(self.params))
         object.__setattr__(self, "_run", run.ravel())
         object.__setattr__(self, "_ids", ids.ravel())
+
+    @cached_property
+    def _groups(self) -> tuple[np.ndarray, np.ndarray]:
+        """Where each stored row's group of equal words starts in the run,
+        and how many words it has: two read-only (n, L) arrays, indexed by
+        row and table: 12 bytes per key, an intp start and an int32
+        length. The words carry their table, so no group crosses one."""
+        n, L = self.keys.shape
+        new = np.empty(len(self._run), dtype=bool)
+        new[0] = True
+        np.not_equal(self._run[1:], self._run[:-1], out=new[1:])
+        first = np.flatnonzero(new)
+        size = np.diff(first, append=len(new))
+        # run position t * n + j holds table t's word of row _ids[t * n + j]
+        at = self._ids.reshape(L, n), np.arange(L)[:, None]
+        lo, sizes = np.empty((n, L), dtype=np.intp), np.empty((n, L), dtype=np.int32)
+        lo[at] = np.repeat(first, size).reshape(L, n)
+        sizes[at] = np.repeat(size, size).reshape(L, n)
+        lo.setflags(write=False)
+        sizes.setflags(write=False)
+        return lo, sizes
 
 
 def _table_words(L: int) -> np.ndarray:
@@ -300,18 +327,28 @@ def build_index(dataset: Dataset, params: LshParams) -> LshIndex:
     return LshIndex(params, keys, dataset_fingerprint(dataset), grid_evals)
 
 
-def query_scores(idx: LshIndex, q: Curve) -> list[ScoredCandidate]:
+def query_scores(idx: LshIndex, q: Curve, row: int | None = None) -> list[ScoredCandidate]:
     """All curves colliding with q in at least one table, cheapest first.
 
     Scores are collision fractions in (0, 1]; the result is sorted by
-    (score ascending, id ascending). Does not mutate the index.
+    (score ascending, id ascending). By default q is hashed and each of
+    its L words is searched in the run. With row set, q must be the curve
+    stored as that row of idx.keys: each table's group of equal words is
+    read from the index's group table (built on the first such call), so
+    q is neither hashed nor searched, and the result is the same.
     """
     if q.dim != idx.params.d:
         raise ValueError(f"dimension mismatch: query {q.dim}, index {idx.params.d}")
     L = idx.params.L
-    words = _table_words(L) | _table_keys(idx.params, idx._grids, q.vertices, [0])[0]
-    lo = np.searchsorted(idx._run, words, "left")
-    sizes = np.searchsorted(idx._run, words, "right") - lo
+    if row is None:
+        words = _table_words(L) | _table_keys(idx.params, idx._grids, q.vertices, [0])[0]
+        lo = np.searchsorted(idx._run, words, "left")
+        sizes = np.searchsorted(idx._run, words, "right") - lo
+    elif 0 <= row < len(idx.keys):
+        starts, lengths = idx._groups
+        lo, sizes = starts[row], lengths[row]
+    else:
+        raise ValueError(f"row {row} is not a stored row of an index over {len(idx.keys)} curves")
     # positions lo[t], ..., lo[t] + sizes[t] - 1 of every table t, in one array
     pos = np.arange(sizes.sum()) + np.repeat(lo - np.cumsum(sizes) + sizes, sizes)
     counts = np.bincount(idx._ids[pos], minlength=len(idx.keys))

@@ -441,3 +441,46 @@ def test_numeric_flag_never_exits_4(command, flag, value, series_path, tmp_path,
     if code == 2:
         assert err
         assert not any(path.exists() for path in outs)
+
+
+class TestNonUtf8Input:
+    """Every file the CLI reads exits 3 on a byte that is not UTF-8, and
+    the message names the file."""
+
+    BAD = b"0.0 1.0\n\xff 2.0\n"
+
+    def test_series_dataset(self, tmp_path, capsys):
+        data = tmp_path / "bad.txt"
+        data.write_bytes(self.BAD)
+        code, _, err = run(["self-join", "--data", str(data), "--radius", RADIUS], capsys)
+        assert code == 3
+        assert "bad.txt: not UTF-8 text" in err
+
+    @pytest.mark.parametrize("bad_name", ["files.txt", "a.txt"])
+    def test_trajectory_dataset(self, bad_name, tmp_path, capsys):
+        (tmp_path / "a.txt").write_text("0.0 0.0\n1.0 1.0\n")
+        (tmp_path / "files.txt").write_text("a.txt\n")
+        (tmp_path / bad_name).write_bytes(self.BAD)
+        code, _, err = run(["self-join", "--data", str(tmp_path / "files.txt"),
+                            "--format", "traj2d", "--radius", RADIUS], capsys)
+        assert code == 3
+        assert f"{bad_name}: not UTF-8 text" in err
+
+    @pytest.mark.parametrize("fmt", ["series1d", "traj2d"])
+    def test_verify_pair_input(self, fmt, tmp_path, capsys):
+        a = tmp_path / "a.txt"
+        b = tmp_path / "b.txt"
+        a.write_text("0.0 0.0\n1.0 1.0\n")
+        b.write_bytes(self.BAD)
+        code, _, err = run(["verify-pair", str(a), str(b), "--radius", "1",
+                            "--format", fmt], capsys)
+        assert code == 3
+        assert "b.txt: not UTF-8 text" in err
+
+    def test_truth_file(self, series_path, tmp_path, capsys):
+        truth = tmp_path / "truth.csv"
+        truth.write_bytes(b"idA,idB\n0,1\n\xff,2\n")
+        code, _, err = run(["self-join", "--data", series_path, "--radius", RADIUS,
+                            "--L", "16", "--truth", str(truth)], capsys)
+        assert code == 3
+        assert "truth.csv: not UTF-8 text" in err

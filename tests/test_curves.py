@@ -404,3 +404,32 @@ class TestReadersMatchPerLineSplit:
         path.write_text(line + "\n3 4\n", encoding="utf-8")
         assert (_outcome(lambda: read_trajectory_2d(path, 0).vertices.tolist())
                 == _outcome(trajectory_rows_oracle, path))
+
+
+class TestNonUtf8Input:
+    """A byte that does not decode as UTF-8 is a ParseError naming the file."""
+
+    def test_series_file(self, tmp_path):
+        f = tmp_path / "bad.txt"
+        f.write_bytes(b"1.0 2.0\n3.0 \xff\n")
+        with pytest.raises(ParseError, match=r"bad\.txt: not UTF-8 text"):
+            parse_series_1d(f)
+
+    def test_trajectory_file(self, tmp_path):
+        f = tmp_path / "walk.txt"
+        f.write_bytes(b"1 2\n\xff 4\n")
+        with pytest.raises(ParseError, match=r"walk\.txt: not UTF-8 text"):
+            read_trajectory_2d(f, 0)
+
+    def test_trajectory_list_file(self, tmp_path):
+        lst = tmp_path / "files.txt"
+        lst.write_bytes(b"a\xff.txt\n")
+        with pytest.raises(ParseError, match=r"files\.txt: not UTF-8 text"):
+            parse_trajectories_2d(lst)
+
+    def test_trajectory_named_by_the_list(self, tmp_path):
+        (tmp_path / "a.txt").write_bytes(b"1 2\n3 \xff\n")
+        lst = tmp_path / "files.txt"
+        lst.write_text("a.txt\n")
+        with pytest.raises(ParseError, match=r"a\.txt: not UTF-8 text"):
+            parse_trajectories_2d(lst)

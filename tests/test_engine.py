@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from curvejoin import Curve, Dataset
+from curvejoin import Curve, Dataset, engine
 from curvejoin.curves import _dist
 from curvejoin.engine import (
     JoinReport,
@@ -608,3 +608,28 @@ class TestExactJoinPrefilter:
             data = dataset_of([Curve(0, np.vstack([a, tail])),
                                Curve(1, np.vstack([a + step, tail]))])
             assert exact_join(data, r) == exact_join_per_pair(data, r) == ((0, 1),)
+
+
+class TestStoredCurveQueries:
+    """range_query scores the dataset's own curve object from its key row,
+    and hashes any other curve, even an equal one; the results agree."""
+
+    def test_equal_but_distinct_curve_gives_the_same_result(self, monkeypatch):
+        rows = []
+        scores = engine.query_scores
+
+        def spy(idx, q, row=None):
+            rows.append(row)
+            return scores(idx, q, row=row)
+
+        monkeypatch.setattr(engine, "query_scores", spy)
+        for tau in (0.0, 0.5, 1.0):
+            data, _, cfg, params = small_join_setup(tau=tau)
+            idx = build_index(data, params)
+            for c in data:
+                rows.clear()
+                own = range_query(idx, data, c, cfg, exclude_id=c.id)
+                copy = range_query(idx, data, Curve(c.id, c.vertices.copy()), cfg,
+                                   exclude_id=c.id)
+                assert own == copy
+                assert rows == [c.id, None]

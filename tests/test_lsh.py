@@ -554,3 +554,64 @@ class TestIndexFiles:
         save_index(idx, path)
         with pytest.raises(IndexFormatError, match="fingerprint"):
             load_index(path, other)
+
+
+def _equal_copy(c: Curve) -> Curve:
+    """An equal curve that is not the stored object, so it is hashed."""
+    return Curve(c.id, c.vertices.copy())
+
+
+class TestStoredRowScores:
+    """query_scores(idx, c, row=c.id) reads c's keys and groups from the
+    index; hashing an equal copy and searching the run is the oracle."""
+
+    @staticmethod
+    def _check(idx, ds: Dataset):
+        for c in ds:
+            assert query_scores(idx, c, row=c.id) == query_scores(idx, _equal_copy(c))
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("L", [1, 5, 64, 1000])
+    def test_ragged_datasets(self, d, L):
+        rng = np.random.default_rng(90 + d)
+        ds = _ragged_dataset(rng, 40, d)
+        self._check(build_index(ds, LshParams(0.8 * d, 2, L, d, seed=L)), ds)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_exact_duplicates_form_large_groups(self, d):
+        rng = np.random.default_rng(94)
+        walks = [random_walk_curve(rng, 0, 6, d) for _ in range(3)]
+        ds = Dataset([Curve(i, walks[i % 3].vertices) for i in range(60)])
+        idx = build_index(ds, LshParams(1.0, 2, 16, d, seed=5))
+        self._check(idx, ds)
+        assert [s.collisions for s in query_scores(idx, ds[0], row=0)] == [16] * 20
+
+    def test_single_vertex_curves(self):
+        rng = np.random.default_rng(95)
+        ds = Dataset([Curve(i, rng.uniform(0.0, 3.0, (1, 2))) for i in range(30)])
+        self._check(build_index(ds, LshParams(1.0, 3, 9, 2, seed=8)), ds)
+
+    def test_index_read_back_from_a_file(self, tmp_path):
+        rng = np.random.default_rng(96)
+        ds = _ragged_dataset(rng, 30, 2)
+        save_index(build_index(ds, LshParams(1.5, 2, 25, 2, seed=4)), tmp_path / "i.bin")
+        self._check(load_index(tmp_path / "i.bin", ds), ds)
+
+    def test_group_table_is_lazy_and_read_only(self):
+        rng = np.random.default_rng(97)
+        ds = _tiny_dataset(rng)
+        idx = build_index(ds, LshParams(1.0, 2, 16, 1, seed=2))
+        query_scores(idx, _equal_copy(ds[0]))
+        assert "_groups" not in vars(idx)
+        query_scores(idx, ds[0], row=0)
+        lo, sizes = vars(idx)["_groups"]
+        assert lo.shape == sizes.shape == (ds.n, 16)
+        assert not lo.flags.writeable and not sizes.flags.writeable
+
+    @pytest.mark.parametrize("row", [-1, 12])
+    def test_row_outside_the_index_rejected(self, row):
+        rng = np.random.default_rng(98)
+        ds = _tiny_dataset(rng)
+        idx = build_index(ds, LshParams(1.0, 2, 16, 1, seed=2))
+        with pytest.raises(ValueError, match="stored row"):
+            query_scores(idx, ds[0], row=row)
