@@ -6,138 +6,13 @@ resulting cell sequences; candidates are then confirmed by a layered
 verification cascade with an exact free-space decision as the last resort.
 """
 
-from .curves import (
-    BoundingBox,
-    Curve,
-    Dataset,
-    ParseError,
-    bounding_box,
-    densify,
-    longest_edge,
-    parse_series_1d,
-    parse_trajectories_2d,
-    simplify,
-    write_series_1d,
-    write_trajectories_2d,
-)
-from .frechet import (
-    SimplVerifyParams,
-    Verdict,
-    VerificationOutcome,
-    bbox_filter,
-    decide_continuous,
-    discrete_frechet,
-    endpoints_filter,
-    equal_time_upper,
-    estimate_continuous,
-    greedy_upper,
-    negative_filter,
-    verify,
-    verify_heur,
-    verify_simpl,
-)
-from .lsh import (
-    IndexFormatError,
-    LshIndex,
-    LshParams,
-    ScoredCandidate,
-    build_index,
-    dataset_fingerprint,
-    load_index,
-    query_scores,
-    save_index,
-    snap_signature,
-)
-from .engine import (
-    CandidateDecision,
-    JoinReport,
-    Metrics,
-    QueryConfig,
-    QueryRecord,
-    RangeQueryResult,
-    exact_join,
-    make_params,
-    metrics,
-    pairs_csv,
-    percentile_radius,
-    query_record_dicts,
-    range_query,
-    self_join,
-    stage_histogram,
-    summary_dict,
-)
-from .experiments import (
-    BoundsRow,
-    CollisionEstimate,
-    ScoreHistogram,
-    bounds_csv,
-    bounds_report,
-    collision_probability,
-    noisy_collision_probability,
-    score_histogram,
-)
+from . import curves, frechet, lsh, engine, experiments
+from .curves import *
+from .frechet import *
+from .lsh import *
+from .engine import *
+from .experiments import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BoundingBox",
-    "BoundsRow",
-    "CandidateDecision",
-    "CollisionEstimate",
-    "Curve",
-    "Dataset",
-    "IndexFormatError",
-    "JoinReport",
-    "LshIndex",
-    "LshParams",
-    "Metrics",
-    "ParseError",
-    "QueryConfig",
-    "QueryRecord",
-    "RangeQueryResult",
-    "ScoreHistogram",
-    "ScoredCandidate",
-    "SimplVerifyParams",
-    "Verdict",
-    "VerificationOutcome",
-    "bbox_filter",
-    "bounding_box",
-    "bounds_csv",
-    "bounds_report",
-    "build_index",
-    "collision_probability",
-    "dataset_fingerprint",
-    "decide_continuous",
-    "densify",
-    "discrete_frechet",
-    "endpoints_filter",
-    "equal_time_upper",
-    "estimate_continuous",
-    "exact_join",
-    "greedy_upper",
-    "load_index",
-    "longest_edge",
-    "make_params",
-    "metrics",
-    "negative_filter",
-    "noisy_collision_probability",
-    "pairs_csv",
-    "parse_series_1d",
-    "parse_trajectories_2d",
-    "percentile_radius",
-    "query_record_dicts",
-    "query_scores",
-    "range_query",
-    "save_index",
-    "score_histogram",
-    "self_join",
-    "simplify",
-    "snap_signature",
-    "stage_histogram",
-    "summary_dict",
-    "verify",
-    "verify_heur",
-    "verify_simpl",
-    "write_series_1d",
-    "write_trajectories_2d",
-]
+__all__ = curves.__all__ + frechet.__all__ + lsh.__all__ + engine.__all__ + experiments.__all__

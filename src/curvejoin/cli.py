@@ -199,7 +199,6 @@ def cmd_collision_prob(args) -> int:
 def cmd_verify_pair(args) -> int:
     p = _load_single_curve(args.file_a, args.format, args.skip_first_field)
     q = _load_single_curve(args.file_b, args.format, args.skip_first_field)
-    q = Curve(1, q.vertices)
     out = verify(p, q, check_positive("--radius", args.radius),
                  _parse_epsilons(args.epsilons))
     sys.stdout.write(f"{out.verdict.value.capitalize()} {out.stage}\n")

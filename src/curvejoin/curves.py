@@ -397,8 +397,8 @@ def write_series_1d(dataset: Dataset, path: str | Path) -> None:
             fh.write("\n")
 
 
-def write_trajectories_2d(dataset: Dataset, out_dir: str | Path, list_name: str = "files.txt") -> Path:
-    """Write a 2-D dataset as per-curve trajectory files plus a list file."""
+def write_trajectories_2d(dataset: Dataset, out_dir: str | Path) -> Path:
+    """Write a 2-D dataset as per-curve trajectory files plus the list file files.txt."""
     if dataset.d != 2:
         raise ValueError("trajectory format holds 2-D curves only")
     out_dir = Path(out_dir)
@@ -410,6 +410,6 @@ def write_trajectories_2d(dataset: Dataset, out_dir: str | Path, list_name: str 
             for x, y in c.vertices:
                 fh.write(f"{float(x)!r} {float(y)!r}\n")
         names.append(name)
-    list_path = out_dir / list_name
+    list_path = out_dir / "files.txt"
     list_path.write_text("".join(n + "\n" for n in names), encoding="utf-8")
     return list_path

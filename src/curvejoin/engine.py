@@ -350,7 +350,6 @@ def percentile_radius(
     pct: int,
     sample_size: int = 1000,
     seed: int = 0,
-    rel_tol: float = 1e-4,
 ) -> float:
     """Nearest-rank percentile of pairwise distances on a curve sample.
 
@@ -369,9 +368,7 @@ def percentile_radius(
     dists = []
     for a in range(len(ids)):
         for b in range(a + 1, len(ids)):
-            dists.append(
-                estimate_continuous(dataset[ids[a]], dataset[ids[b]], rel_tol)
-            )
+            dists.append(estimate_continuous(dataset[ids[a]], dataset[ids[b]]))
     dists.sort()
     rank = math.ceil(pct / 100.0 * len(dists))  # nearest-rank, 1-based
     return dists[rank - 1]

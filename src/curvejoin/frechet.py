@@ -348,9 +348,7 @@ def decide_continuous(p: Curve, q: Curve, r: float) -> bool:
     return at_end
 
 
-def estimate_continuous(
-    p: Curve, q: Curve, rel_tol: float = 1e-4, max_iter: int = 40
-) -> float:
+def estimate_continuous(p: Curve, q: Curve, rel_tol: float = 1e-4) -> float:
     """Continuous Frechet distance by bisection on the decision procedure.
 
     The initial bracket is [max endpoint distance, discrete Frechet
@@ -366,7 +364,7 @@ def estimate_continuous(
     hi = discrete_frechet(p, q)
     if hi > lo and decide_continuous(p, q, lo):
         hi = lo
-    for _ in range(max_iter):
+    for _ in range(40):
         if hi - lo <= rel_tol * hi + 1e-12:
             break
         mid = 0.5 * (lo + hi)
@@ -572,7 +570,6 @@ class SimplVerifyParams:
 
     eps: float
     r: float
-    r_prime: float
     mu_minus: float
     mu_plus: float
     r_minus: float
@@ -582,14 +579,13 @@ class SimplVerifyParams:
     def for_radius(cls, r: float, eps: float) -> "SimplVerifyParams":
         check_positive("eps", eps)
         check_positive("radius", r)
-        r_prime = r / (1.0 + eps / 3.0)
         mu_minus = r * eps / 28.0
         mu_plus = r * eps / (28.0 * (1.0 + eps / 3.0))
         r_minus = r * (1.0 + eps / 14.0)
         r_plus = r * (3.0 * (1.0 + eps / 14.0) / (3.0 + eps))
         # Near the float maximum, r * eps or r_minus overflows to inf.
         check_positive("the simplification budget of this radius", max(mu_minus, r_minus))
-        return cls(eps, r, r_prime, mu_minus, mu_plus, r_minus, r_plus)
+        return cls(eps, r, mu_minus, mu_plus, r_minus, r_plus)
 
 
 class SimplifiedCopies:

@@ -50,7 +50,6 @@ __all__ = [
     "LshParams",
     "ScoredCandidate",
     "build_index",
-    "dataset_fingerprint",
     "load_index",
     "query_scores",
     "save_index",
@@ -374,7 +373,9 @@ def save_index(idx: LshIndex, path) -> None:
 
 
 def load_index(path, dataset: Dataset) -> LshIndex:
-    """Read an index and re-derive its grids; refuses stale or foreign files."""
+    """Read an index and re-derive its grids; refuses stale or foreign files,
+    and a header whose parameters do not reproduce the stored keys of the
+    dataset's first curve. Corrupt keys in the other rows go undetected."""
     data = Path(path).read_bytes()
     if data[:4] != _MAGIC:
         raise IndexFormatError(f"{path}: not an index file (bad magic)")
@@ -383,9 +384,14 @@ def load_index(path, dataset: Dataset) -> LshIndex:
     if len(data) < _KEYS_AT:
         raise IndexFormatError(f"{path}: truncated index file")
     delta, k, L, l_prime, d, seed, fingerprint, n = _HEADER.unpack_from(data, 5)
-    params = LshParams(delta, k, L, d, seed)
+    try:
+        params = LshParams(delta, k, L, d, seed)
+    except ValueError as exc:
+        raise IndexFormatError(f"{path}: bad parameters in header: {exc}") from exc
     if params.L != L or params.l_prime != l_prime:
         raise IndexFormatError(f"{path}: inconsistent table counts in header")
+    if d != dataset.d:
+        raise IndexFormatError(f"{path}: index dimension {d} != dataset dimension {dataset.d}")
     if len(data) != _KEYS_AT + 4 * n * L:
         raise IndexFormatError(
             f"{path}: {len(data)} bytes, expected {_KEYS_AT + 4 * n * L} for {n} curves x {L} tables"
@@ -397,4 +403,7 @@ def load_index(path, dataset: Dataset) -> LshIndex:
             f"over {n} curves, data {actual:#018x} over {dataset.n})"
         )
     keys = np.frombuffer(data, dtype="<u4", offset=_KEYS_AT).reshape(n, L)
-    return LshIndex(params, keys, fingerprint, 0)
+    idx = LshIndex(params, keys, fingerprint, 0)
+    if not np.array_equal(_table_keys(params, idx._grids, dataset[0].vertices, [0])[0], keys[0]):
+        raise IndexFormatError(f"{path}: the header's parameters do not reproduce the stored keys")
+    return idx

@@ -519,7 +519,6 @@ class TestVerifyHeur:
 class TestVerifySimpl:
     def test_parameter_values(self):
         par = SimplVerifyParams.for_radius(1.0, 1.0)
-        assert par.r_prime == pytest.approx(0.75)
         assert par.mu_minus == pytest.approx(1.0 / 28.0)
         assert par.mu_plus == pytest.approx(3.0 / 112.0)
         assert par.r_minus == pytest.approx(15.0 / 14.0)

@@ -1,3 +1,5 @@
+import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -544,6 +546,29 @@ class TestIndexFiles:
         save_index(idx, path)
         path.write_bytes(path.read_bytes() + b"\0")
         with pytest.raises(IndexFormatError):
+            load_index(path, ds)
+
+    @pytest.mark.parametrize("name, value", [
+        ("seed", 12345),
+        ("k", 3),
+        ("delta", 0.7),
+        ("d", 5),
+        ("k", 0),
+        ("delta", math.nan),
+    ])
+    def test_corrupt_header_field_rejected(self, tmp_path, name, value):
+        # Each header field set to a value the file was not built with: the
+        # load names the file instead of answering on the wrong grids.
+        rng = np.random.default_rng(85)
+        ds, idx = self._index(rng)
+        path = tmp_path / "index.bin"
+        save_index(idx, path)
+        data = path.read_bytes()
+        fields = ("delta", "k", "L", "l_prime", "d", "seed", "fingerprint", "n")
+        header = dict(zip(fields, lsh._HEADER.unpack_from(data, 5)))
+        header[name] = value
+        path.write_bytes(data[:5] + lsh._HEADER.pack(*header.values()) + data[lsh._KEYS_AT:])
+        with pytest.raises(IndexFormatError, match=re.escape(str(path))):
             load_index(path, ds)
 
     def test_fingerprint_mismatch(self, tmp_path):
