@@ -11,6 +11,10 @@ Two plain-text formats are supported:
   whitespace runs, optionally with a leading class label to skip.
 - 2-D trajectories: a list file naming one trajectory file per line;
   each trajectory file holds one "x y" pair per line, '#' lines ignored.
+  A trajectory file is read whole and converted in one pass when it is
+  nothing but plain "x y" lines of finite numbers; any other text goes
+  through the per-line reader, so rows and error texts are the same
+  either way.
 """
 
 from __future__ import annotations
@@ -335,8 +339,42 @@ def parse_series_1d(path: str | Path, skip_first_field: bool = False) -> Dataset
     return Dataset(curves)
 
 
+def _plain_pairs(text: str) -> np.ndarray | None:
+    """The (m, 2) vertices of a text of m lines that each hold two finite
+    numbers and nothing else; None for any other text.
+
+    Each line end becomes a ';' token. float() rejects ';', and any field
+    holding '#' or ',', so when the split holds 3 m tokens and float()
+    accepts all but every third, the dropped tokens are the m line ends
+    and each line held two fields. str.split parts the whole text on the
+    same whitespace as the per-line reader's comma-free lines, and the
+    values are float()'s, as that reader's are.
+    """
+    if not text:
+        return None
+    if text[-1] != "\n":
+        text += "\n"
+    m = text.count("\n")
+    tokens = text.replace("\n", " ; ").split()
+    if len(tokens) != 3 * m:
+        return None
+    del tokens[2::3]
+    try:
+        v = np.fromiter(map(float, tokens), np.float64, 2 * m)
+    except ValueError:
+        return None
+    if not np.isfinite(v).all():
+        return None
+    return v.reshape(m, 2)
+
+
 def read_trajectory_2d(path: str | Path, cid: int) -> Curve:
     """Load one trajectory file: an "x y" pair per line, '#' lines ignored.
+
+    The file is read whole. Unless it is plain "x y" lines of finite
+    numbers (see _plain_pairs), it is read again line by line, which gives
+    identical rows and reports the first fault it meets, so every error
+    text is the same as if the file were only ever read by lines.
 
     Raises:
         ParseError: malformed or non-finite coordinate pair, an empty
@@ -346,6 +384,16 @@ def read_trajectory_2d(path: str | Path, cid: int) -> Curve:
     """
     rows: list[list[float]] = []
     with _open_text(path) as fh:
+        try:
+            text = fh.read()
+        except UnicodeDecodeError:
+            # The per-line reader decodes in blocks and may meet a bad
+            # field before the bad byte; it decides which error wins.
+            text = ""
+        vertices = _plain_pairs(text)
+        if vertices is not None:
+            return Curve(cid, vertices)
+        fh.seek(0)
         for lineno, raw in enumerate(fh, start=1):
             fields = _fields(raw)
             if not fields or fields[0].startswith("#"):

@@ -1,6 +1,8 @@
+import contextlib
 import math
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from curvejoin import (
     write_series_1d,
     write_trajectories_2d,
 )
+from curvejoin import curves
 from curvejoin.curves import DENSIFY_MAX_VERTICES, _dist, read_trajectory_2d
 from helpers import (
     curve,
@@ -366,6 +369,37 @@ _LINE_PIECES = st.sampled_from(
 _TEXT = st.lists(st.lists(_LINE_PIECES, max_size=12).map("".join), max_size=6).map("\n".join)
 
 
+# Trajectory texts that are mostly plain "x y" lines, the kind the
+# whole-file reader takes: numbers in every form float() accepts, fields
+# parted by ASCII and Unicode whitespace, \n or \r\n line ends and at times
+# no final newline. One line in three texts is swapped for a line the
+# per-line reader must judge.
+_NUMBER = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-10**6, 10**6).map(str),
+    st.sampled_from(["1e3", "2.5E-3", "+7", "-0.0", "1_000", "1_0.2_5", ".5", "5.", "+1e+2"]),
+)
+_SEP = st.sampled_from([" ", "\t", "  ", " \t", "\xa0", "\x0b", "\x1c"])
+_PAD = st.sampled_from(["", "", " ", "\t", "\xa0"])
+_BAD_LINE = st.sampled_from(["1", "1 2 3", "nan 2", "1 inf", "1e400 2", "# 1 2", "1 #2",
+                             "1,2", "", " ", "1 2 ;", ";", "1 oops"])
+
+
+@st.composite
+def _pair_texts(draw):
+    """(text, whether every line is a plain pair)."""
+    n = draw(st.integers(1, 8))
+    lines = [draw(_PAD) + draw(_NUMBER) + draw(_SEP) + draw(_NUMBER) + draw(_PAD)
+             for _ in range(n)]
+    plain = draw(st.integers(0, 2)) > 0
+    if not plain:
+        lines[draw(st.integers(0, n - 1))] = draw(_BAD_LINE)
+    text = "".join(line + draw(st.sampled_from(["\n", "\r\n"])) for line in lines)
+    if draw(st.booleans()):
+        text = text.rstrip("\r\n")
+    return text, plain
+
+
 def _outcome(fn, *args):
     try:
         return fn(*args)
@@ -397,13 +431,31 @@ class TestReadersMatchPerLineSplit:
             got = _outcome(lambda: read_trajectory_2d(path, 0).vertices.tolist())
             assert got == _outcome(trajectory_rows_oracle, path)
 
+    @settings(max_examples=300, deadline=None)
+    @given(case=_pair_texts())
+    def test_whole_file_reader(self, case):
+        # A plain text must parse with the per-line reader's field splitter
+        # made to raise. Compared by repr, so -0.0 and 0.0 differ.
+        text, plain = case
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "walk.txt"
+            path.write_text(text, encoding="utf-8")
+            refuse = mock.patch.object(curves, "_fields",
+                                       side_effect=AssertionError("plain text read by lines"))
+            with refuse if plain else contextlib.nullcontext():
+                got = _outcome(lambda: read_trajectory_2d(path, 0).vertices.tolist())
+            assert repr(got) == repr(_outcome(trajectory_rows_oracle, path))
+
     @pytest.mark.parametrize("line", ["1 2", " 1\t2 ", "1,2", " ,1 2", "1\xa02", "1\x1c2",
-                                      "# 1 2", " #1,2", "\x0b", "1 2 3", "1,,2"])
+                                      "# 1 2", " #1,2", "\x0b", "1 2 3", "1,,2",
+                                      "1 2\r", "1 2\n\n", "1 2 ; 3 4\n\n"])
     def test_worked_lines(self, line, tmp_path):
+        # The line first, then last with no newline after it.
         path = tmp_path / "walk.txt"
-        path.write_text(line + "\n3 4\n", encoding="utf-8")
-        assert (_outcome(lambda: read_trajectory_2d(path, 0).vertices.tolist())
-                == _outcome(trajectory_rows_oracle, path))
+        for text in (line + "\n3 4\n", "3 4\n" + line):
+            path.write_text(text, encoding="utf-8")
+            assert (_outcome(lambda: read_trajectory_2d(path, 0).vertices.tolist())
+                    == _outcome(trajectory_rows_oracle, path))
 
 
 class TestNonUtf8Input:
@@ -416,10 +468,21 @@ class TestNonUtf8Input:
             parse_series_1d(f)
 
     def test_trajectory_file(self, tmp_path):
+        # The bad byte in the first 8 KiB decoded, and past it.
         f = tmp_path / "walk.txt"
-        f.write_bytes(b"1 2\n\xff 4\n")
-        with pytest.raises(ParseError, match=r"walk\.txt: not UTF-8 text"):
+        for data in (b"1 2\n\xff 4\n", b"1 2\n" * 3000 + b"\xff 4\n"):
+            f.write_bytes(data)
+            with pytest.raises(ParseError, match=r"walk\.txt: not UTF-8 text"):
+                read_trajectory_2d(f, 0)
+
+    def test_bad_field_before_a_late_bad_byte_wins(self, tmp_path):
+        # Lines are decoded in 8 KiB blocks, so the field on line 2 is met
+        # before the byte past the first block.
+        f = tmp_path / "walk.txt"
+        f.write_bytes(b"1 2\n3 oops\n" + b"5 6\n" * 3000 + b"\xff 8\n")
+        with pytest.raises(ParseError) as err:
             read_trajectory_2d(f, 0)
+        assert str(err.value) == f"{f}:2:2: non-numeric field 'oops'"
 
     def test_trajectory_list_file(self, tmp_path):
         lst = tmp_path / "files.txt"
