@@ -125,8 +125,6 @@ def _write_text(path: str | None, text: str) -> None:
 
 
 def cmd_self_join(args) -> int:
-    if args.threads < 1:
-        raise ConfigError(f"--threads must be >= 1, got {args.threads}")
     data = _load_dataset(args)
     eps = _parse_epsilons(args.epsilons)
     r = _resolve_radius(args, data)
@@ -239,8 +237,6 @@ def build_parser() -> argparse.ArgumentParser:
     sj.add_argument("--grid-factor", type=float, default=4.0)
     sj.add_argument("--epsilons", default="10,1,0.1")
     sj.add_argument("--seed", type=int, default=0)
-    sj.add_argument("--threads", type=int, default=1,
-                    help="no effect (queries run in one thread); must be >= 1")
     sj.add_argument("--slack", choices=("none", "longest-edge"), default="none")
     sj.add_argument("--truth", default=None, help="ground-truth pairs CSV")
     sj.add_argument("--out-summary", default=None)

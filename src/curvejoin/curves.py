@@ -429,6 +429,8 @@ def parse_trajectories_2d(list_path: str | Path) -> Dataset:
         raise ParseError(f"{Path(list_path)}: no trajectory files listed")
     for entry in entries:
         tpath = os.path.join(base, entry)
+        # A guard, not a redundant stat: open() of a FIFO blocks until a
+        # writer appears, and a directory fails with an OSError, not ParseError.
         if not os.path.isfile(tpath):
             raise ParseError(f"{Path(list_path)}: trajectory file not found: {Path(tpath)}")
         curves.append(read_trajectory_2d(tpath, len(curves)))

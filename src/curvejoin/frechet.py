@@ -63,16 +63,11 @@ class Verdict(Enum):
 
 @dataclass(frozen=True)
 class VerificationOutcome:
-    """Result of one verification step.
-
-    stage identifies the deciding step; witness, when present, is a
-    monotone sequence of matched positions (in vertex-index coordinates)
-    whose pairwise distances certify a Near verdict.
-    """
+    """Result of one verification step: the verdict and the stage, the
+    name of the step that gave it."""
 
     verdict: Verdict
     stage: str
-    witness: list[tuple[float, float]] | None = None
 
 
 def _check_dims(p: Curve, q: Curve) -> None:
@@ -436,15 +431,13 @@ def equal_time_upper(p: Curve, q: Curve, r: float) -> VerificationOutcome:
     P, Q = p._points, q._points
     DP, DQ = p._edges[0], q._edges[0]
     mp, mq = len(P) - 1, len(Q) - 1
-    witness = []
     if mp == 0 or mq == 0:
         # a single vertex stays put while the other curve visits its vertices
         for k in range(max(mp, mq) + 1):
             u_p, u_q = float(k) if mp else 0.0, float(k) if mq else 0.0
             if not _dist(_point_at(P, DP, u_p), _point_at(Q, DQ, u_q)) <= r:
                 return VerificationOutcome(Verdict.UNKNOWN, "equal-time")
-            witness.append((u_p, u_q))
-        return VerificationOutcome(Verdict.NEAR, "equal-time", witness)
+        return VerificationOutcome(Verdict.NEAR, "equal-time")
     # the fractions i/mp and j/mq, merged exactly over denominator mp*mq
     for k in sorted({*range(0, mp * mq + 1, mq), *range(0, mp * mq + 1, mp)}):
         u_p, u_q = k / mq, k / mp
@@ -461,8 +454,7 @@ def equal_time_upper(p: Curve, q: Curve, r: float) -> VerificationOutcome:
             s += t * t
         if not math.sqrt(s) <= r:
             return VerificationOutcome(Verdict.UNKNOWN, "equal-time")
-        witness.append((u_p, u_q))
-    return VerificationOutcome(Verdict.NEAR, "equal-time", witness)
+    return VerificationOutcome(Verdict.NEAR, "equal-time")
 
 
 def greedy_upper(p: Curve, q: Curve, r: float) -> VerificationOutcome:
@@ -477,7 +469,6 @@ def greedy_upper(p: Curve, q: Curve, r: float) -> VerificationOutcome:
     P, Q = p._points, q._points
     m, n = len(P), len(Q)
     i = j = 0
-    witness = [(0.0, 0.0)]
     if _dist(P[0], Q[0]) > r:
         return VerificationOutcome(Verdict.UNKNOWN, "greedy")
     while i < m - 1 or j < n - 1:
@@ -492,8 +483,7 @@ def greedy_upper(p: Curve, q: Curve, r: float) -> VerificationOutcome:
         if best_d > r:
             return VerificationOutcome(Verdict.UNKNOWN, "greedy")
         i, j = best
-        witness.append((float(i), float(j)))
-    return VerificationOutcome(Verdict.NEAR, "greedy", witness)
+    return VerificationOutcome(Verdict.NEAR, "greedy")
 
 
 def _monotone_position_scan(a: Curve, b: Curve, r: float) -> bool:
@@ -560,7 +550,8 @@ def verify_heur(p: Curve, q: Curve, r: float) -> VerificationOutcome:
 
 @dataclass(frozen=True)
 class SimplVerifyParams:
-    """Error budgets for the simplification pre-check at a given epsilon.
+    """Error budgets for the simplification pre-check at one radius r and
+    epsilon eps, as for_radius derives them; r and eps are not kept.
 
     The negative check runs on aggressively simplified curves at the
     enlarged radius r_minus; the positive check on gently simplified
@@ -568,8 +559,6 @@ class SimplVerifyParams:
     simplification error mu is repaid by the radius adjustment.
     """
 
-    eps: float
-    r: float
     mu_minus: float
     mu_plus: float
     r_minus: float
@@ -585,7 +574,7 @@ class SimplVerifyParams:
         r_plus = r * (3.0 * (1.0 + eps / 14.0) / (3.0 + eps))
         # Near the float maximum, r * eps or r_minus overflows to inf.
         check_positive("the simplification budget of this radius", max(mu_minus, r_minus))
-        return cls(eps, r, mu_minus, mu_plus, r_minus, r_plus)
+        return cls(mu_minus, mu_plus, r_minus, r_plus)
 
 
 class SimplifiedCopies:

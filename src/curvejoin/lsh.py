@@ -168,6 +168,8 @@ def dataset_fingerprint(dataset: Dataset) -> int:
 class LshIndex:
     """Immutable L-table index over an (n, L) uint32 key matrix.
 
+    The fields are the parameters, the keys and the fingerprint of the
+    dataset they hash; a built and a loaded index hold the same values.
     keys[c, i * l_prime + j] is curve c's key in table (i, j). The grid
     shifts and the fold's multiplier and mixers are re-derived from params,
     and the sorted run of (table << 32) | key words, with the curve id of
@@ -180,7 +182,6 @@ class LshIndex:
     params: LshParams
     keys: np.ndarray
     fingerprint: int
-    grid_evals: int
     _grids: tuple = field(init=False, repr=False)
     _run: np.ndarray = field(init=False, repr=False)
     _ids: np.ndarray = field(init=False, repr=False)
@@ -322,8 +323,7 @@ def build_index(dataset: Dataset, params: LshParams) -> LshIndex:
         keys[lo:hi] = _table_keys(params, grids, vertices, starts)
         lo = hi
     keys.setflags(write=False)
-    grid_evals = dataset.n * (len(grids[0]) + len(grids[1]))
-    return LshIndex(params, keys, dataset_fingerprint(dataset), grid_evals)
+    return LshIndex(params, keys, dataset_fingerprint(dataset))
 
 
 def query_scores(idx: LshIndex, q: Curve, row: int | None = None) -> list[ScoredCandidate]:
@@ -403,7 +403,7 @@ def load_index(path, dataset: Dataset) -> LshIndex:
             f"over {n} curves, data {actual:#018x} over {dataset.n})"
         )
     keys = np.frombuffer(data, dtype="<u4", offset=_KEYS_AT).reshape(n, L)
-    idx = LshIndex(params, keys, fingerprint, 0)
+    idx = LshIndex(params, keys, fingerprint)
     if not np.array_equal(_table_keys(params, idx._grids, dataset[0].vertices, [0])[0], keys[0]):
         raise IndexFormatError(f"{path}: the header's parameters do not reproduce the stored keys")
     return idx

@@ -20,6 +20,7 @@ from curvejoin import (
     snap_signature,
     verify,
 )
+from curvejoin import lsh
 from curvejoin.curves import _FIELD_SPLIT, ParseError, _dist, _parse_floats
 from curvejoin.frechet import DEFAULT_EPS_LIST
 
@@ -302,6 +303,20 @@ def fold_slots(cells: np.ndarray, keep: np.ndarray, slots: int, lead: bool, a: i
     return acc, powers[count]
 
 
+def count_snaps(monkeypatch) -> list[int]:
+    """Patch curvejoin.lsh.snap_signature to record, per call, the (grid,
+    curve) snaps it makes: len(shifts) * len(starts). Returns the list."""
+    snapped = []
+    snap = lsh.snap_signature
+
+    def counting(shifts, delta, p, starts=(0,)):
+        snapped.append(len(shifts) * len(starts))
+        return snap(shifts, delta, p, starts)
+
+    monkeypatch.setattr(lsh, "snap_signature", counting)
+    return snapped
+
+
 def table_keys_per_curve(params, grids, p: Curve) -> np.ndarray:
     """Oracle for the block kernel lsh._table_keys: one curve's L keys from
     its own snap and one masked fold over all words per group."""
@@ -511,8 +526,33 @@ def negative_filter_far_scalar(p: Curve, q: Curve, r: float) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Oracle for the equal-time traversal: the array evaluation that the walk on
-# Python floats in curvejoin.frechet.equal_time_upper replaces.
+# The Near certificates' traversals, rebuilt. curvejoin.frechet's
+# equal_time_upper and greedy_upper return only a verdict; these return the
+# positions they visit, which assert_valid_witness checks.
+
+
+def greedy_traversal(p: Curve, q: Curve, r: float) -> list | None:
+    """Oracle: greedy_upper's walk as (i, j) vertex positions, or None where
+    the library answers Unknown. From (i, j) it takes the closest of
+    (i+1, j+1), (i+1, j), (i, j+1), the first of them at a tie; distances
+    are _dist's, so verdicts compare exactly."""
+    P, Q = p.vertices.tolist(), q.vertices.tolist()
+    if _dist(P[0], Q[0]) > r:
+        return None
+    i = j = 0
+    path = [(0.0, 0.0)]
+    while i < len(P) - 1 or j < len(Q) - 1:
+        moves = [(a, b) for a, b in ((i + 1, j + 1), (i + 1, j), (i, j + 1))
+                 if a < len(P) and b < len(Q)]
+        i, j = min(moves, key=lambda move: _dist(P[move[0]], Q[move[1]]))
+        if _dist(P[i], Q[j]) > r:
+            return None
+        path.append((float(i), float(j)))
+    return path
+
+
+# The equal-time traversal as arrays, beside the walk on Python floats in
+# curvejoin.frechet.equal_time_upper.
 
 
 def _curve_at(V: np.ndarray, u: np.ndarray) -> np.ndarray:

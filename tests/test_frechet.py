@@ -7,7 +7,6 @@ from curvejoin import (
     Curve,
     SimplVerifyParams,
     Verdict,
-    VerificationOutcome,
     bbox_filter,
     decide_continuous,
     densify,
@@ -31,6 +30,7 @@ from helpers import (
     curve1,
     discrete_frechet_brute,
     equal_time_max_arrays,
+    greedy_traversal,
     random_pair,
     random_walk_curve,
 )
@@ -319,9 +319,10 @@ class TestEqualTimeUpper:
     def test_parallel_near(self):
         p = curve(0, [[0.0, 0.0], [1.0, 0.0]])
         q = curve(1, [[0.0, 1.0], [1.0, 1.0]])
-        out = equal_time_upper(p, q, 1.0)
-        assert out.verdict is Verdict.NEAR
-        assert_valid_witness(p, q, 1.0, out.witness)
+        assert equal_time_upper(p, q, 1.0).verdict is Verdict.NEAR
+        dmax, positions = equal_time_max_arrays(p, q)
+        assert dmax == 1.0
+        assert_valid_witness(p, q, 1.0, positions)
         assert equal_time_upper(p, q, 0.99).verdict is Verdict.UNKNOWN
 
     def test_breakpoint_positions_are_exact(self):
@@ -329,9 +330,8 @@ class TestEqualTimeUpper:
         # so the pair is Near even at radius zero
         p = curve1(0, [0.0, 2.0])
         q = curve1(1, [0.0, 1.0, 2.0])
-        out = equal_time_upper(p, q, 0.0)
-        assert out.verdict is Verdict.NEAR
-        assert out.witness == [(0.0, 0.0), (0.5, 1.0), (1.0, 2.0)]
+        assert equal_time_upper(p, q, 0.0).verdict is Verdict.NEAR
+        assert equal_time_max_arrays(p, q) == (0.0, [(0.0, 0.0), (0.5, 1.0), (1.0, 2.0)])
 
     def test_one_sided(self):
         # curves that wiggle out of phase defeat the uniform traversal
@@ -365,15 +365,17 @@ class TestEqualTimeUpper:
         for _ in range(100):
             p, q = random_pair(rng, 2)
             r = discrete_frechet(p, q) * 1.1 + 0.1
-            out = equal_time_upper(p, q, r)
-            if out.verdict is Verdict.NEAR:
-                assert_valid_witness(p, q, r, out.witness)
+            dmax, positions = equal_time_max_arrays(p, q)
+            assert (equal_time_upper(p, q, r).verdict is Verdict.NEAR) == (dmax <= r)
+            if dmax <= r:
+                assert_valid_witness(p, q, r, positions)
                 checked += 1
         assert checked > 20
 
     def test_walk_equals_the_array_oracle(self):
-        # verdicts and witnesses against the array evaluation, at the
-        # traversal's own maximum and one ulp either side of it
+        # verdicts against the array evaluation, at the traversal's own
+        # maximum and one ulp either side of it; the positions the walk
+        # visits are a valid witness wherever it answers Near
         rng = np.random.default_rng(49)
         cases = []
         for i in range(150):
@@ -391,9 +393,11 @@ class TestEqualTimeUpper:
             dmax, positions = equal_time_max_arrays(p, q)
             for r in (0.0, 0.5 * dmax, math.nextafter(dmax, 0.0), dmax,
                       math.nextafter(dmax, math.inf)):
-                want = (VerificationOutcome(Verdict.NEAR, "equal-time", positions)
-                        if dmax <= r else VerificationOutcome(Verdict.UNKNOWN, "equal-time"))
-                assert equal_time_upper(p, q, r) == want, (p, q, r)
+                out = equal_time_upper(p, q, r)
+                want = Verdict.NEAR if dmax <= r else Verdict.UNKNOWN
+                assert (out.verdict, out.stage) == (want, "equal-time"), (p, q, r)
+                if dmax <= r:
+                    assert_valid_witness(p, q, r, positions)
 
 
 def _at_fraction(V: np.ndarray, ts: np.ndarray) -> np.ndarray:
@@ -423,18 +427,31 @@ class TestGreedyUpper:
     def test_identical_curves_walk_diagonal(self):
         rng = np.random.default_rng(45)
         c = random_walk_curve(rng, 0, 8, 2)
-        out = greedy_upper(c, c, 0.0)
-        assert out.verdict is Verdict.NEAR
-        assert out.witness == [(float(i), float(i)) for i in range(8)]
+        assert greedy_upper(c, c, 0.0).verdict is Verdict.NEAR
+        path = greedy_traversal(c, c, 0.0)
+        assert path == [(float(i), float(i)) for i in range(8)]
+        assert_valid_witness(c, c, 0.0, path)
+        # from (0,0) the diagonal and advancing p both cost 1, advancing q 2;
+        # the diagonal must win: after advancing p the walk reaches p's end
+        # and must then advance q to a distance of 2
+        p = curve1(0, [-2.0, -1.0, -2.0])
+        q = curve1(1, [-2.0, 0.0, -2.0])
+        assert greedy_upper(p, q, 1.0).verdict is Verdict.NEAR
 
     def test_tie_prefers_advancing_p(self):
         # from (0,0): diagonal costs 2, advancing either curve costs 1;
         # the p step must win the tie
         p = curve1(0, [0.0, 1.0])
         q = curve1(1, [0.0, -1.0])
-        out = greedy_upper(p, q, 2.0)
-        assert out.verdict is Verdict.NEAR
-        assert out.witness == [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0)]
+        assert greedy_upper(p, q, 2.0).verdict is Verdict.NEAR
+        path = greedy_traversal(p, q, 2.0)
+        assert path == [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0)]
+        assert_valid_witness(p, q, 2.0, path)
+        # from (0,0) advancing p and advancing q both cost 1, the diagonal 2;
+        # advancing q first would leave only moves that cost 2
+        p = curve1(0, [-1.0, -2.0, -1.0])
+        q = curve1(1, [-1.0, 0.0])
+        assert greedy_upper(p, q, 1.0).verdict is Verdict.NEAR
 
     def test_start_pair_checked(self):
         p = curve1(0, [5.0, 0.0])
@@ -447,12 +464,13 @@ class TestGreedyUpper:
         for _ in range(150):
             p, q = random_pair(rng, 2)
             r = float(rng.uniform(0.5, 1.5)) * (discrete_frechet(p, q) + 0.02)
-            out = greedy_upper(p, q, r)
-            if out.verdict is Verdict.NEAR:
+            path = greedy_traversal(p, q, r)
+            assert (greedy_upper(p, q, r).verdict is Verdict.NEAR) == (path is not None)
+            if path is not None:
                 # the walk is one monotone traversal, so it bounds the
                 # discrete distance as well
                 assert discrete_frechet(p, q) <= r + 1e-12
-                assert_valid_witness(p, q, r, out.witness)
+                assert_valid_witness(p, q, r, path)
                 near += 1
         assert near > 30
 
@@ -500,8 +518,12 @@ class TestVerifyHeur:
             out = verify_heur(p, q, r)
             assert out.verdict in (Verdict.NEAR, Verdict.FAR)
             assert (out.verdict is Verdict.NEAR) == decide_continuous(p, q, r)
-            if out.witness is not None:
-                assert_valid_witness(p, q, r, out.witness)
+            if out.stage == "equal-time":
+                dmax, positions = equal_time_max_arrays(p, q)
+                assert dmax <= r
+                assert_valid_witness(p, q, r, positions)
+            elif out.stage == "greedy":
+                assert_valid_witness(p, q, r, greedy_traversal(p, q, r))
 
     def test_stage_labels(self):
         p = curve(0, [[0.0, 0.0], [1.0, 0.0]])
@@ -642,9 +664,10 @@ class TestWorkedExamples:
     def test_greedy_confirms_a_uniform_shift(self):
         p = curve1(0, [0.0, 1.0, 2.0])
         q = curve1(1, [0.1, 1.1, 2.1])
-        out = greedy_upper(p, q, 0.2)
-        assert out.verdict is Verdict.NEAR
-        assert_valid_witness(p, q, 0.2, out.witness)
+        assert greedy_upper(p, q, 0.2).verdict is Verdict.NEAR
+        path = greedy_traversal(p, q, 0.2)
+        assert path is not None
+        assert_valid_witness(p, q, 0.2, path)
 
     def test_position_scan_rejects_a_detour(self):
         # p climbs to height 3 while q stays on the base line

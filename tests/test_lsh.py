@@ -24,6 +24,7 @@ from curvejoin import lsh
 from curvejoin.lsh import _draw_grids, _table_keys
 from helpers import (
     DictIndex,
+    count_snaps,
     curve,
     curve1,
     draw_hash,
@@ -254,14 +255,17 @@ class TestIndex:
         idx = build_index(ds, LshParams(1.0, 2, 9, 1, seed=1))
         assert idx.keys.shape == (1, idx.params.L)
 
-    def test_grid_eval_count_is_k_times_sqrt_L(self):
+    def test_grid_eval_count_is_k_times_sqrt_L(self, monkeypatch):
+        # count the (grid, curve) snaps the build makes, not a stored figure
         rng = np.random.default_rng(71)
         ds = _tiny_dataset(rng, n=5)
+        snapped = count_snaps(monkeypatch)
         for L in (64, 256, 1024):
             for k in (1, 2, 4):
+                snapped.clear()
                 idx = build_index(ds, LshParams(1.0, k, L, 1, seed=3))
                 assert idx.params.L == L
-                assert idx.grid_evals == ds.n * k * int(np.sqrt(L))
+                assert sum(snapped) == ds.n * k * int(np.sqrt(L))
 
     def test_dimension_mismatch(self):
         rng = np.random.default_rng(72)

@@ -117,7 +117,7 @@ def test_store_counts_every_copy_whether_or_not_it_is_the_curve():
 
 
 def outcome(out) -> tuple:
-    return out.verdict, out.stage, out.witness
+    return out.verdict, out.stage
 
 
 def fresh(c: Curve) -> Curve:
