@@ -17,9 +17,10 @@ curves._dist, the square root of the squared coordinate differences added
 in coordinate order, and the array code that shares a test with it
 (decide_continuous's block window kernel, exact_join's endpoint arrays)
 sums in the same order, so the two agree bit for bit. The negative filter
-is a lazy scan, O(m + n) edge windows per direction; the block window
-kernel serves only decide_continuous, where a wide band visits many cells
-per row.
+is a lazy scan, O(m + n) edge windows per direction, each from the scalar
+window; the block window kernel serves decide_continuous, which computes
+windows in blocks of rows but only over each row's range of columns
+around the reachable band, wider only where a row needs more.
 
 All comparisons against the radius are exact floating-point comparisons;
 a pair at distance exactly r counts as Near. Every function here is a
@@ -31,6 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from operator import sub
 
 import numpy as np
 
@@ -116,10 +118,12 @@ def discrete_frechet(p: Curve, q: Curve) -> float:
 
 
 # Rows of free-space windows computed per kernel call: working memory is
-# O(_BLOCK * min(|p|, |q|)), and a Far decision wastes at most one block.
+# O(_BLOCK * band width), and a Far decision wastes at most one block.
 _BLOCK = 64
-# Columns read per step once a row's sweep runs past its last reachable entry.
-_CHUNK = 16
+# Columns read per step once a row's sweep runs past the cell after its
+# last reachable entry. Each row's range of windows starts one step before
+# the band and ends at least one step past it.
+_CHUNK = 8
 
 
 def _ball_windows(starts, deltas, points, r: float) -> tuple[np.ndarray, np.ndarray]:
@@ -133,9 +137,11 @@ def _ball_windows(starts, deltas, points, r: float) -> tuple[np.ndarray, np.ndar
     minors); the naive b^2 - 4ac form cancels catastrophically when w is
     nearly parallel to delta and r is small. Sums run over the coordinates
     in order, so each window is bit-identical whatever the block shape.
-    decide_continuous is this block kernel's one caller: its wide bands
-    visit many cells per row. The negative filter's lazy scan computes
-    one window at a time with the scalar twin _ball_window.
+    The kernel is elementwise, so a window is the same whether its block
+    covers whole rows or, as decide_continuous's _band_windows computes
+    them, each row's range of columns around the reachable band. The
+    negative filter's lazy scan computes one window at a time with the
+    scalar twin _ball_window.
     """
     w = [s - x for s, x in zip(starts, points)]
     d = len(w)
@@ -169,27 +175,33 @@ def _ball_windows(starts, deltas, points, r: float) -> tuple[np.ndarray, np.ndar
     return lo, hi
 
 
-def _ball_window(start, delta, aa: float, point, r: float) -> tuple[float, float]:
+def _minor_pairs(d: int) -> tuple[tuple[int, int], ...]:
+    """The coordinate pairs (u, v), u < v, of the 2x2 minors in the order
+    _ball_windows sums them."""
+    return tuple((u, v) for u in range(d) for v in range(u + 1, d))
+
+
+def _ball_window(start, delta, aa: float, point, rr: float,
+                 pairs: tuple[tuple[int, int], ...]) -> tuple[float, float]:
     """The window of one edge within r of one point: _ball_windows'
     arithmetic, operation for operation. The edge is its start, its delta
     (end - start) and its squared length aa, the point a float sequence;
-    a curve's prepared edges supply delta and aa."""
-    w = [s - x for s, x in zip(start, point)]
+    a curve's prepared edges supply delta and aa. rr is r * r and pairs is
+    _minor_pairs(d), both computed once per scan."""
+    w = list(map(sub, start, point))
     wd = w[0] * delta[0]
-    d = len(w)
-    for u in range(1, d):
+    for u in range(1, len(w)):
         wd = wd + w[u] * delta[u]
     if aa == 0.0:
         ww = w[0] * w[0]
-        for u in range(1, d):
+        for u in range(1, len(w)):
             ww = ww + w[u] * w[u]
-        return (0.0, 1.0) if ww <= r * r else (math.inf, -math.inf)
+        return (0.0, 1.0) if ww <= rr else (math.inf, -math.inf)
     gram = 0.0
-    for u in range(d):
-        for v in range(u + 1, d):
-            minor = delta[u] * w[v] - delta[v] * w[u]
-            gram = gram + minor * minor
-    disc = aa * (r * r) - gram
+    for u, v in pairs:
+        minor = delta[u] * w[v] - delta[v] * w[u]
+        gram = gram + minor * minor
+    disc = aa * rr - gram
     if not disc >= 0.0:
         return math.inf, -math.inf
     sq = math.sqrt(disc)
@@ -216,6 +228,34 @@ def check_eps_list(eps_list) -> None:
             f"eps_list must be non-empty and strictly decreasing, got {tuple(eps_list)}")
 
 
+def _band_windows(p: Curve, q: Curve, i0: int, i1: int, starts: np.ndarray, w: int,
+                  r: float) -> np.ndarray:
+    """The free-space windows of the rows i0 .. i1-1 of the diagram of p
+    (rows) and q (columns), each over its own range of w cells, stacked as
+    an array of shape (rows, 4, w + 1).
+
+    The range of row i starts at column s = starts[i - i0]; column t of
+    its slot holds the window of p-edge i on q-vertex s + t (the vertical
+    boundary, lo then hi) and the window of q-edge s + t - 1 on p-vertex
+    i + 1 (the line above the row, lo then hi). So cell c, at t = c + 1 - s,
+    finds its right and top boundaries in one column, one slice reads a run
+    of cells, and t = 0 holds the left boundary of cell s. Row -1 stands for
+    line 0, the bottom line: only its line windows are meaningful.
+    """
+    (Pc, p_deltas), (Qc, q_deltas) = p._columns, q._columns
+    rows = np.arange(i0, i1)
+    if starts[0] == starts[-1]:
+        starts = starts[:1]  # starts never fall: one range, broadcast to every row
+    edge = np.maximum(rows, 0)[:, None]
+    cols = starts[:, None] + np.arange(w + 1)
+    q_edge = np.maximum(cols - 1, 0)
+    vlo, vhi = _ball_windows([c[edge] for c in Pc], [c[edge] for c in p_deltas],
+                             [c[cols] for c in Qc], r)
+    hlo, hhi = _ball_windows([c[q_edge] for c in Qc], [c[q_edge] for c in q_deltas],
+                             [c[rows + 1, None] for c in Pc], r)
+    return np.concatenate((vlo, vhi, hlo, hhi), axis=1).reshape(i1 - i0, 4, w + 1)
+
+
 def decide_continuous(p: Curve, q: Curve, r: float) -> bool:
     """True iff the continuous Frechet distance of p and q is at most r.
 
@@ -223,10 +263,23 @@ def decide_continuous(p: Curve, q: Curve, r: float) -> bool:
     swept one row of cells at a time. Each row is swept only from its first
     reachable cell until propagation dies past its last one, and the sweep
     answers Far as soon as nothing on the next line, the left boundary or
-    the right boundary is reachable. The free-space windows come from a
-    vectorized kernel run on fixed blocks of rows, so working memory is
-    O(block * min(|p|, |q|)); numpy does O(|p|*|q|) arithmetic, Python
-    visits only the reachable band's cells.
+    the right boundary is reachable.
+
+    The free-space windows come from a vectorized kernel run on blocks of
+    up to _BLOCK rows, and only along the reachable band: each row of a
+    block gets a range of columns that starts at or before the previous
+    line's first reachable entry and is wide enough for the band plus the
+    sweep's _CHUNK lookahead. While the left boundary is reachable the
+    ranges start at column 0; otherwise they follow a corner-to-corner
+    path's mean slope, (n-1)/(m-1) columns per row. When a row needs a
+    column outside its range (the band drifted or widened, the right
+    boundary is reachable, or the bottom line's reachable prefix runs past
+    the first range), the rest of the block is computed again, wider, from
+    that row; the final line's tail is computed when the walk to the corner
+    reaches it. The kernel is elementwise, so every window, and with it
+    every verdict, is the one a full-width block would give. Numpy does
+    O(|p| * band width) arithmetic and holds one block of it; Python visits
+    only the reachable band's cells.
     """
     _check_pair(p, q, r)
     if max(_endpoint_dists(p, q)) > r:
@@ -239,107 +292,133 @@ def decide_continuous(p: Curve, q: Curve, r: float) -> bool:
         p, q = q, p  # rows run along the longer curve
 
     m, n = len(p), len(q)
-    Pc, p_deltas = p._columns
-    Qc, q_deltas = q._columns
-    q_starts = [c[:-1] for c in Qc]
+    slope = (n - 1) / (m - 1)
 
     # entry[j]: the smallest reachable parameter on the current line in
     # column j, None = blocked; reachable entries lie in columns first..last.
+    # The next line is written into spare, the line before the current one
+    # with its entries cleared.
     entry: list[float | None] = []
+    spare: list[float | None] = [None] * (n - 1)
     first = last = 0
 
     leftline: float | None = 0.0  # entry on the q-parameter = 0 boundary
     rightline = False  # the q-parameter = n-1 boundary is reachable
     prev_vhi0 = prev_vhi_last = None
 
-    for b in range(0, m - 1, _BLOCK):
-        rows = slice(b, min(b + _BLOCK, m - 1))
-        # No column left of the band becomes reachable again unless the
-        # left boundary still is, so the block's windows start at c0.
-        c0 = 0 if leftline is not None else first
-        # Vertical boundaries of row i: per q-vertex j, the t-range where
-        # p-edge i passes within r of Q[j]. Horizontal line i+1: per q-edge
-        # j, the s-range where P[i+1] is within r of the edge; the first
-        # block also computes line 0, the bottom line.
-        vlo_rows, vhi_rows = _ball_windows(
-            [c[rows, None] for c in Pc], [c[rows, None] for c in p_deltas],
-            [c[None, c0:] for c in Qc], r)
-        hlo_rows, hhi_rows = _ball_windows(
-            [c[None, c0:] for c in q_starts], [c[None, c0:] for c in q_deltas],
-            [c[rows.start + (b > 0):rows.stop + 1, None] for c in Pc], r)
-        if b == 0:
+    # Windows of rows b .. end-1 (row -1: line 0), row i's range starting
+    # at starts[i - b]; reach: a column the current row needs outside its
+    # range, None while the range serves.
+    i = b = end = -1
+    reach: int | None = None
+    while i < m - 1:
+        if i == end or reach is not None:
+            if i == end:
+                end = min(m - 1, (max(i, 0) // _BLOCK + 1) * _BLOCK)
+            lo = 0 if leftline is not None else first
+            w = max(last + 1 - lo, 2 * _CHUNK, 2 * ((reach or lo) - lo)) + 2 * _CHUNK
+            w = min(w, n - 1)
+            rise = np.arange(end - i) * (0.0 if leftline is not None else slope)
+            starts = np.minimum(np.maximum(lo - _CHUNK + rise.astype(np.intp), 0), n - 1 - w)
+            windows = _band_windows(p, q, i, end, starts, w, r)
+            starts = starts.tolist()
+            b, reach = i, None
+        row, s = windows[i - b], starts[i - b]
+
+        if i < 0:
             # Free intervals on the bottom line (p-parameter = 0), which is
             # reachable only as a contiguous prefix of columns.
-            hlo, hhi = hlo_rows[0], hhi_rows[0]
-            hlo_rows, hhi_rows = hlo_rows[1:], hhi_rows[1:]
+            hlo, hhi = row[2, 1:], row[3, 1:]
             prefix = (hhi[:-1] == 1.0) & (hlo[1:] == 0.0)
-            last = n - 2 if prefix.all() else int(np.argmin(prefix))
+            whole = bool(prefix.all())
+            if whole and w < n - 1:
+                reach = w
+                continue
+            last = n - 2 if whole else int(np.argmin(prefix))
             entry = [0.0] * (last + 1) + [None] * (n - 2 - last)
+            i = 0
+            continue
 
-        for i, vlo, vhi, hlo, hhi in zip(
-                range(b, rows.stop), vlo_rows, vhi_rows, hlo_rows, hhi_rows):
-            if i > 0 and leftline is not None and not (
-                    prev_vhi0 == 1.0 and vlo[0] == 0.0):
-                leftline = None
+        j = 0 if leftline is not None else first
+        if j < s or (rightline and prev_vhi_last == 1.0 and s + w < n - 1):
+            reach = j if j < s else n - 1
+            continue
+        if i > 0 and leftline is not None and not (
+                prev_vhi0 == 1.0 and row[0, 0] == 0.0):
+            leftline = None
+            j = first
 
-            left = leftline  # entry on the left boundary of the current cell
-            new_entry: list[float | None] = [None] * (n - 1)
-            nfirst, nlast = n - 1, -1
-            j = 0 if left is not None else first
-            while j < n - 1 and (left is not None or j <= last):
-                # the band in one read, then short reads while left survives
-                stop = min(n - 1, max(last + 1, j + _CHUNK))
-                cells = zip(
-                    range(j, stop), entry[j:stop],
-                    vlo[j + 1 - c0:stop + 1 - c0].tolist(),
-                    vhi[j + 1 - c0:stop + 1 - c0].tolist(),
-                    hlo[j - c0:stop - c0].tolist(),
-                    hhi[j - c0:stop - c0].tolist())
-                for jj, bot, vl, vh, hl, hh in cells:
-                    # top boundary of cell (i, jj), then its right boundary
-                    if left is not None:
-                        top = hl if hl <= hh else None
-                        if bot is None:
-                            e = left if left > vl else vl
-                            left = e if e <= vh else None
-                        else:
-                            left = vl if vl <= vh else None
-                    elif bot is not None:
-                        e = bot if bot > hl else hl
-                        top = e if e <= hh else None
-                        left = vl if vl <= vh else None
-                    elif jj > last:
-                        break
-                    else:
-                        continue
-                    if top is not None:
-                        new_entry[jj] = top
-                        if nlast < 0:
-                            nfirst = jj
-                        nlast = jj
-                else:
-                    j = stop
-                    continue
+        left = leftline  # entry on the left boundary of the current cell
+        new_entry = spare
+        nfirst, nlast = n - 1, -1
+        while j < n - 1 and (left is not None or j <= last):
+            # the band and the cell after it in one read, then short reads
+            # while left survives
+            stop = min(n - 1, max(last + 2, j + _CHUNK))
+            if stop > s + w:
+                reach = stop
                 break
+            vls, vhs, hls, hhs = row[:, j + 1 - s:stop + 1 - s].tolist()
+            for jj, bot, vl, vh, hl, hh in zip(
+                    range(j, stop), entry[j:stop], vls, vhs, hls, hhs):
+                # top boundary of cell (i, jj), then its right boundary
+                if left is not None:
+                    top = hl if hl <= hh else None
+                    if bot is None:
+                        e = left if left > vl else vl
+                        left = e if e <= vh else None
+                    else:
+                        left = vl if vl <= vh else None
+                elif bot is not None:
+                    e = bot if bot > hl else hl
+                    top = e if e <= hh else None
+                    left = vl if vl <= vh else None
+                elif jj > last:
+                    break
+                else:
+                    continue
+                if top is not None:
+                    new_entry[jj] = top
+                    if nlast < 0:
+                        nfirst = jj
+                    nlast = jj
+            else:
+                j = stop
+                continue
+            break
+        if reach is not None:
+            # the row again, on a wider range
+            new_entry[nfirst:nlast + 1] = [None] * (nlast + 1 - nfirst)
+            continue
 
-            # Reachability on the q-parameter = n-1 boundary, carried across rows.
-            rightline = left is not None or (
-                rightline and prev_vhi_last == 1.0 and vlo[n - 1 - c0] == 0.0)
-            prev_vhi_last = vhi[n - 1 - c0]
-            if leftline is not None:
-                prev_vhi0 = vhi[0]
-            entry, first, last = new_entry, nfirst, nlast
-            if last < 0 and leftline is None and not rightline:
-                return False
+        # Reachability on the q-parameter = n-1 boundary, carried across
+        # rows; its windows are read only while it is reachable.
+        rightline = left is not None or (
+            rightline and prev_vhi_last == 1.0 and row[0, n - 1 - s] == 0.0)
+        if rightline:
+            prev_vhi_last = row[1, n - 1 - s]
+        if leftline is not None:
+            prev_vhi0 = row[1, 0]
+        entry[first:last + 1] = [None] * (last + 1 - first)
+        spare, entry, first, last = entry, new_entry, nfirst, nlast
+        if last < 0 and leftline is None and not rightline:
+            return False
+        i += 1
 
     if rightline and prev_vhi_last == 1.0:
         return True
     # Travel along the final p-parameter = m-1 line toward the corner:
     # at_end == the line's s = 1 point in column j is reachable.
     at_end = False
-    for bot, hl, hh in zip(entry[first:], hlo[first - c0:].tolist(),
-                           hhi[first - c0:].tolist()):
+    hls, hhs = row[2:, first + 1 - s:].tolist()
+    for bot, hl, hh in zip(entry[first:], hls, hhs):
         at_end = (bot is not None or (at_end and hl == 0.0)) and hh == 1.0
+    if at_end and s + w < n - 1:
+        # no entry lies past the range: the walk continues on free edges
+        Pc, (Qc, q_deltas) = p._columns[0], q._columns
+        hlo, hhi = _ball_windows([c[s + w:-1] for c in Qc], [c[s + w:] for c in q_deltas],
+                                 [c[m - 1] for c in Pc], r)
+        at_end = bool(((hlo == 0.0) & (hhi == 1.0)).all())
     return at_end
 
 
@@ -502,19 +581,24 @@ def _monotone_position_scan(a: Curve, b: Curve, r: float) -> bool:
     if nb == 1:
         return _point_curve_within(B[0], A, r)
     D, AA = b._edges
+    rr, pairs = r * r, _minor_pairs(len(B[0]))
     cur = 0.0
     for x in A:
-        e = min(int(cur), nb - 2)
+        e = int(cur)
+        if e > nb - 2:
+            e = nb - 2
         # Only the edge holding cur can clip the window at cur; on any later
         # edge e + lo > cur, so a nonempty window matches at e + lo.
-        lo, hi = _ball_window(B[e], D[e], AA[e], x, r)
+        lo, hi = _ball_window(B[e], D[e], AA[e], x, rr, pairs)
         if lo <= hi:
-            start = max(cur, e + lo)
+            start = e + lo
+            if start < cur:
+                start = cur
             if start <= e + hi:
                 cur = start
                 continue
         for e in range(e + 1, nb - 1):
-            lo, hi = _ball_window(B[e], D[e], AA[e], x, r)
+            lo, hi = _ball_window(B[e], D[e], AA[e], x, rr, pairs)
             if lo <= hi:
                 cur = e + lo
                 break

@@ -11,10 +11,12 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from curvejoin import Curve, Verdict, decide_continuous, densify, negative_filter
+from curvejoin import Curve, Verdict, decide_continuous, densify, negative_filter, verify
+from curvejoin import frechet
 from curvejoin.frechet import (
     _ball_window,
     _ball_windows,
+    _minor_pairs,
     _monotone_position_scan,
     discrete_frechet,
     estimate_continuous,
@@ -23,8 +25,10 @@ from curvejoin.curves import _dist, longest_edge
 
 from helpers import (
     _ball_windows_rows,
+    _curve_at,
     acceptance_corpus,
     curve,
+    curve1,
     decide_continuous_full,
     monotone_position_scan_scalar,
     negative_filter_far_scalar,
@@ -105,7 +109,9 @@ def assert_same_window(start, end, point, r: float) -> None:
     # prepared view of a curve holding the edge; equal as floats: the lo or
     # hi of 0 may differ in the sign of zero only
     ((delta,), (aa,)) = Curve(0, [start, end])._edges
-    assert _ball_window(start, delta, aa, point, r) == kernel_window(start, end, point, r), (
+    pairs = _minor_pairs(len(start))
+    assert _ball_window(start, delta, aa, point, r * r, pairs) == kernel_window(
+        start, end, point, r), (
         start, end, point, r)
 
 
@@ -289,3 +295,248 @@ def _window_case(draw):
 @given(_window_case())
 def test_property_scalar_window_equals_the_kernel(case):
     assert_same_window(*case)
+
+
+# ---------------------------------------------------------------------------
+# The band-limited windows of decide_continuous: each row's windows cover
+# only a range of columns around the reachable band, computed again wider
+# when a row needs more. The verdicts must equal the full sweep's.
+
+
+def band_radii(p: Curve, q: Curve) -> list:
+    ddf = discrete_frechet(p, q)
+    return knife_edge_radii(p, q) + [
+        ddf * f for f in (0.9, 1.0 - 1e-9, 1.0 + 1e-9, 1.1)]
+
+
+def long_pair(rng, m: int, length: float, edge: float, amp: float = 0.2):
+    """A densified near-duplicate pair, built as the long-pair-2d workload
+    builds them: a walk scaled to a fixed arc length, a copy with every
+    vertex moved by up to amp and the same endpoints, and both densified,
+    the copy 1.1 times coarser."""
+    base = random_walk_curve(rng, 0, m, 2).vertices
+    base = base * (length / np.linalg.norm(np.diff(base, axis=0), axis=1).sum())
+    twin = perturbed_copy(rng, Curve(1, base), 1, amp).vertices.copy()
+    twin[[0, -1]] = base[[0, -1]]
+    return densify(Curve(0, base), edge), densify(Curve(1, twin), 1.1 * edge)
+
+
+def record_band_calls(monkeypatch) -> list:
+    """Record each block of band windows decide_continuous computes, as
+    (first row, end row, range starts, range width)."""
+    calls = []
+    real = frechet._band_windows
+
+    def recording(p, q, i0, i1, starts, w, r):
+        calls.append((i0, i1, starts.tolist(), w))
+        return real(p, q, i0, i1, starts, w, r)
+
+    monkeypatch.setattr(frechet, "_band_windows", recording)
+    return calls
+
+
+def test_band_on_densified_long_pairs():
+    rng = np.random.default_rng(70)
+    for m, length in ((15, 17.0), (25, 25.0), (40, 37.0)):
+        p, q = long_pair(rng, m, length, 0.1)
+        assert 150 <= min(len(p), len(q)) and max(len(p), len(q)) <= 400
+        for r in band_radii(p, q):
+            assert decide_continuous(p, q, r) == decide_continuous_full(p, q, r), r
+
+
+def test_band_when_one_curve_is_much_longer():
+    # 423 x 49: the band climbs about one column every nine rows
+    rng = np.random.default_rng(71)
+    p, q = long_pair(rng, 40, 40.0, 0.1)
+    q = densify(Curve(1, q.vertices[::8]), 1.0)
+    assert len(p) >= 400 and len(q) <= 60
+    for r in band_radii(p, q):
+        assert decide_continuous(p, q, r) == decide_continuous_full(p, q, r), r
+        assert decide_continuous(q, p, r) == decide_continuous(p, q, r), r
+
+
+def test_band_windows_stay_a_fraction_of_the_grid(monkeypatch):
+    # A thin band: every window the kernel returns is counted, and the sum
+    # must stay far below the two windows per cell of a full-width sweep.
+    p, q = long_pair(np.random.default_rng(72), 40, 30.0, 0.1)
+    r = discrete_frechet(p, q) * (1.0 + 1e-9)
+    sizes = []
+    real = frechet._ball_windows
+
+    def counting(starts, deltas, points, r):
+        lo, hi = real(starts, deltas, points, r)
+        sizes.append(lo.size)
+        return lo, hi
+
+    monkeypatch.setattr(frechet, "_ball_windows", counting)
+    assert decide_continuous(p, q, r)
+    assert sum(sizes) <= 0.3 * 2 * len(p) * len(q), (sum(sizes), len(p), len(q))
+
+
+def lingering(rng, at, count: int, spread: float) -> np.ndarray:
+    """count points scattered within spread of the point at."""
+    offs = rng.normal(size=(count, len(at)))
+    offs *= spread * rng.uniform(0.0, 1.0, size=(count, 1)) / np.linalg.norm(
+        offs, axis=1, keepdims=True)
+    return at + offs
+
+
+def test_widening_when_the_band_drifts(monkeypatch):
+    # the band of a long near-duplicate pair wanders off the range's slope,
+    # so some row inside a block needs columns its range lacks
+    calls = record_band_calls(monkeypatch)
+    p, q = long_pair(np.random.default_rng(73), 30, 30.0, 0.1)
+    n = min(len(p), len(q))
+    for r in band_radii(p, q):
+        del calls[:]
+        assert decide_continuous(p, q, r) == decide_continuous_full(p, q, r), r
+    assert any(i0 % frechet._BLOCK and s[0] > 0 and s[0] + w < n - 1
+               for i0, _, s, w in calls)
+
+
+def test_left_boundary_reachable_past_the_first_block(monkeypatch):
+    # p waits near q's first vertex for more than one block of rows: the
+    # left boundary stays reachable, so the second block's ranges start at
+    # column 0
+    rng = np.random.default_rng(74)
+    q = densify(random_walk_curve(rng, 1, 12, 2), 0.3)
+    wait = lingering(rng, q.vertices[0], frechet._BLOCK + 20, 0.2)
+    p = Curve(0, np.vstack([wait, q.vertices[1:]]))
+    calls = record_band_calls(monkeypatch)
+    for r in band_radii(p, q) + [0.25]:
+        del calls[:]
+        assert decide_continuous(p, q, r) == decide_continuous_full(p, q, r), r
+    assert decide_continuous(p, q, 0.25)
+    assert any(i0 == frechet._BLOCK and not any(s) for i0, _, s, _ in calls)
+
+
+def test_right_boundary_reached_inside_a_block(monkeypatch):
+    # q waits near its last vertex for 60 vertices; once p arrives there a
+    # row runs across all of them to the right boundary, past its range
+    rng = np.random.default_rng(75)
+    base = densify(random_walk_curve(rng, 0, 16, 2), 0.3).vertices
+    wait = lingering(rng, base[-1], 60, 0.2)
+    q = Curve(1, np.vstack([base, wait, base[-1:]]))
+    p = densify(Curve(0, base), 0.05)
+    n = len(q)
+    assert len(p) > n
+    calls = record_band_calls(monkeypatch)
+    for r in band_radii(p, q) + [0.25]:
+        del calls[:]
+        near = decide_continuous(p, q, r)
+        assert near == decide_continuous_full(p, q, r), r
+    assert near
+    assert any(i0 % frechet._BLOCK and s[0] + w == n - 1 and s0 + w0 < n - 1
+               for (_, _, (s0, *_), w0), (i0, _, s, w) in zip(calls, calls[1:]))
+
+
+def test_bottom_line_prefix_wider_than_the_first_range(monkeypatch):
+    # q waits near its first vertex for 60 vertices, all within r of p's
+    # first vertex: the bottom line's reachable prefix runs past the first
+    # range, which is computed again wider
+    rng = np.random.default_rng(76)
+    base = densify(random_walk_curve(rng, 0, 16, 2), 0.3).vertices
+    wait = lingering(rng, base[0], 60, 0.2)
+    q = Curve(1, np.vstack([base[:1], wait, base]))
+    p = densify(Curve(0, base), 0.05)
+    assert len(p) > len(q)
+    calls = record_band_calls(monkeypatch)
+    for r in band_radii(p, q) + [0.25]:
+        del calls[:]
+        assert decide_continuous(p, q, r) == decide_continuous_full(p, q, r), r
+    widths = [w for i0, _, _, w in calls if i0 == -1]
+    assert len(widths) >= 2 and widths[-1] > widths[0]
+
+
+def test_walk_corpus_verdicts_unchanged():
+    # 3,000 pairs of 2-d walks of 2-11 vertices at r = their discrete
+    # distance. The windows are not closed at the vertices (ROADMAP item 1),
+    # so some answers are a wrong Far; the band-limited windows move none of
+    # them: the Far counts stay 675, 234 and 340.
+    rng = np.random.default_rng(9)
+    pairs = []
+    for _ in range(3000):
+        m, n = int(rng.integers(2, 12)), int(rng.integers(2, 12))
+        pairs.append((Curve(0, np.cumsum(rng.normal(size=(m, 2)), axis=0)),
+                      Curve(1, np.cumsum(rng.normal(size=(n, 2)), axis=0))))
+    radii = [discrete_frechet(p, q) for p, q in pairs]
+    assert sum(not decide_continuous(p, q, r) for (p, q), r in zip(pairs, radii)) == 675
+    assert sum(verify(p, q, r).verdict is Verdict.FAR
+               for (p, q), r in zip(pairs, radii)) == 234
+    assert sum(negative_filter(p, q, r).verdict is Verdict.FAR
+               for (p, q), r in zip(pairs, radii)) == 340
+    for (p, q), r in list(zip(pairs, radii))[::10]:
+        assert_same(p, q, r)
+
+
+@st.composite
+def _walk_pair_and_radius(draw):
+    m, n = draw(st.integers(2, 200)), draw(st.integers(2, 200))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    p = random_walk_curve(rng, 0, m, 2, step=0.3)
+    if draw(st.booleans()):
+        # q follows p: n evenly spaced points of p's polyline, moved a little
+        at = _curve_at(p.vertices, np.linspace(0.0, m - 1.0, n))
+        q = Curve(1, at + rng.normal(size=(n, 2)) * 0.1)
+    else:
+        q = random_walk_curve(rng, 1, n, 2, step=0.3, start=p.vertices[0])
+    ddf = discrete_frechet(p, q)
+    r = draw(st.one_of(st.sampled_from(band_radii(p, q)),
+                       st.floats(0.5, 1.5).map(lambda f: f * ddf)))
+    return p, q, r
+
+
+@settings(max_examples=40, deadline=None)
+@given(_walk_pair_and_radius())
+def test_property_band_on_long_walks(case):
+    p, q, r = case
+    assert decide_continuous(p, q, r) == decide_continuous_full(p, q, r)
+
+
+def test_final_line_walk_past_the_last_range(monkeypatch):
+    # A 1-d pair found by search. At r = its discrete distance, the distance
+    # of p's last vertex to q[19], the last row's propagation stops at q[19]
+    # by rounding while the final line's windows stay open, so the walk to
+    # the corner runs past the last row's range and the rest of the line is
+    # computed.
+    p = curve1(0, [
+        2.9347213020657295, 1.9195420874710085, 2.545100207311376, 3.0461055312550926,
+        4.9800643048891935, 5.709239655086185, 4.199914467286552, 4.859440081502035,
+        5.47317646814037, 8.30275750796863, 7.632963999122913, 6.57386330972381,
+        5.886952306792454, 5.084842533931499, 3.8851102785536007, 4.792073326403597,
+        4.581423393012919, 4.697135151237106, 4.391861369325733, 5.014046894156234,
+        5.630855123340941, 5.231346750754996, 5.599179166053641, 3.307557032428259,
+        4.677536426182657, 5.296911080823963, 4.1219737859125365, 1.2391039637560342,
+        1.9828687830453344, 2.084018253251828, 2.5886298105402505, 2.373031278390422,
+        1.456081058078256, 0.12083884039964721])
+    q = curve1(1, [
+        3.3743133898827002, -3.1250596207104877, -3.311511249600504, -2.3508928910136397,
+        -4.64126014940135, -4.883333828535895, -5.8344361866455055, -5.204066678118374,
+        -5.170189492342346, -5.634123400276581, -5.071264207580529, -3.614446920966655,
+        -3.028515065558574, -1.5070560404487177, 0.30759720083379305, 1.0449981539135327,
+        0.7654840108343222, -3.152238951456339, -3.5630502381948403, -6.158229487004625,
+        -3.475069427746896, -2.370355899205859, -0.2152630709514054, -1.018426476008007,
+        2.496572697742674, 4.39335231826266, 3.010879994562859, 1.350797279728936,
+        -0.9132716559996661, -0.6275725686490814, -0.416403214548831, 0.9003749618352099,
+        0.7740464076699016, 1.338444433754185])
+    outside = []
+    in_band = []
+    band, kernel = frechet._band_windows, frechet._ball_windows
+
+    def band_counting(*args):
+        in_band.append(1)
+        try:
+            return band(*args)
+        finally:
+            in_band.pop()
+
+    def kernel_counting(*args):
+        outside.append(not in_band)
+        return kernel(*args)
+
+    monkeypatch.setattr(frechet, "_band_windows", band_counting)
+    monkeypatch.setattr(frechet, "_ball_windows", kernel_counting)
+    r = discrete_frechet(p, q)
+    assert decide_continuous(p, q, r)
+    assert decide_continuous_full(p, q, r)
+    assert any(outside)
