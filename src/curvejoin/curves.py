@@ -122,6 +122,12 @@ class Curve:
         return BoundingBox(lower, upper)
 
     @cached_property
+    def _corners(self) -> tuple[float, ...]:
+        """The bounding box's lower corner, then its upper corner, as floats."""
+        box = self._box
+        return tuple(box.lower.tolist() + box.upper.tolist())
+
+    @cached_property
     def _columns(self) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
         """The contiguous coordinate columns and, per coordinate, the edge
         deltas (column[1:] - column[:-1]), all read-only."""

@@ -22,6 +22,17 @@ window; the block window kernel serves decide_continuous, which computes
 windows in blocks of rows but only over each row's range of columns
 around the reachable band, wider only where a row needs more.
 
+What a step's inputs fix is built once, not on every call. The outcomes
+of the fixed stages (endpoints, bbox, equal-time, greedy, negative-filter,
+full-verify) are module constants; each (r, eps) simplification level
+builds its budgets, its stage name and its three outcomes on first use;
+the equal-time walk's breakpoint table is built once per pair of edge
+counts (mp, mq); and each curve's bounding box is kept as floats. Sharing
+is safe because every shared value is immutable (frozen dataclasses and
+tuples) and each cache is bounded: a caller can neither change a value
+another caller reads nor grow the process without limit. A cache stores
+no exception, so a bad radius or eps raises on every call.
+
 All comparisons against the radius are exact floating-point comparisons;
 a pair at distance exactly r counts as Near. Every function here is a
 pure function of its inputs.
@@ -32,11 +43,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from operator import sub
 
 import numpy as np
 
-from .curves import Curve, _dist, _dists, bounding_box, check_positive, simplify
+from .curves import Curve, _dist, _dists, check_positive, simplify
 
 __all__ = [
     "SimplVerifyParams",
@@ -72,20 +84,39 @@ class VerificationOutcome:
     stage: str
 
 
+# The outcomes of the steps whose stage is fixed, built once and shared.
+_ENDPOINTS_FAR = VerificationOutcome(Verdict.FAR, "endpoints")
+_ENDPOINTS_UNKNOWN = VerificationOutcome(Verdict.UNKNOWN, "endpoints")
+_BBOX_FAR = VerificationOutcome(Verdict.FAR, "bbox")
+_BBOX_UNKNOWN = VerificationOutcome(Verdict.UNKNOWN, "bbox")
+_EQUAL_TIME_NEAR = VerificationOutcome(Verdict.NEAR, "equal-time")
+_EQUAL_TIME_UNKNOWN = VerificationOutcome(Verdict.UNKNOWN, "equal-time")
+_GREEDY_NEAR = VerificationOutcome(Verdict.NEAR, "greedy")
+_GREEDY_UNKNOWN = VerificationOutcome(Verdict.UNKNOWN, "greedy")
+_NEGATIVE_FAR = VerificationOutcome(Verdict.FAR, "negative-filter")
+_NEGATIVE_UNKNOWN = VerificationOutcome(Verdict.UNKNOWN, "negative-filter")
+_FULL_NEAR = VerificationOutcome(Verdict.NEAR, "full-verify")
+_FULL_FAR = VerificationOutcome(Verdict.FAR, "full-verify")
+
+
 def _check_dims(p: Curve, q: Curve) -> None:
     if p.dim != q.dim:
         raise ValueError(f"dimension mismatch: {p.dim} vs {q.dim}")
 
 
 def _check_radius(r: float) -> None:
-    check_positive("radius", r, allow_zero=True)
+    # written so that NaN fails; check_positive raises with the usual text
+    if not 0 <= r < math.inf:
+        check_positive("radius", r, allow_zero=True)
 
 
 def _check_pair(p: Curve, q: Curve, r: float) -> None:
     """The input check of every public cascade step: equal dimensions and a
-    finite radius >= 0."""
-    _check_dims(p, q)
-    _check_radius(r)
+    finite radius >= 0. The comparisons are written so that NaN fails them;
+    only a failing input pays for the calls that raise."""
+    if not (p.dim == q.dim and 0 <= r < math.inf):
+        _check_dims(p, q)
+        check_positive("radius", r, allow_zero=True)
 
 
 # ---------------------------------------------------------------------------
@@ -471,21 +502,22 @@ def endpoints_filter(p: Curve, q: Curve, r: float) -> VerificationOutcome:
     """Far when either endpoint pair is farther than r; never Near."""
     _check_pair(p, q, r)
     if max(_endpoint_dists(p, q)) > r:
-        return VerificationOutcome(Verdict.FAR, "endpoints")
-    return VerificationOutcome(Verdict.UNKNOWN, "endpoints")
+        return _ENDPOINTS_FAR
+    return _ENDPOINTS_UNKNOWN
 
 
 def bbox_filter(p: Curve, q: Curve, r: float) -> VerificationOutcome:
     """Far when corresponding bounding-box corners differ by more than r
-    in any single coordinate; never Near."""
+    in any single coordinate; never Near.
+
+    The corners are each curve's prepared floats (Curve._corners), compared
+    one coordinate at a time: vertices are finite, so no gap is NaN, and a
+    gap is > r exactly where the largest gap of the corner arrays is."""
     _check_pair(p, q, r)
-    bp, bq = bounding_box(p), bounding_box(q)
-    if (
-        np.abs(bp.lower - bq.lower).max() > r
-        or np.abs(bp.upper - bq.upper).max() > r
-    ):
-        return VerificationOutcome(Verdict.FAR, "bbox")
-    return VerificationOutcome(Verdict.UNKNOWN, "bbox")
+    for a, b in zip(p._corners, q._corners):
+        if abs(a - b) > r:
+            return _BBOX_FAR
+    return _BBOX_UNKNOWN
 
 
 def _point_at(V, D, u: float):
@@ -498,6 +530,36 @@ def _point_at(V, D, u: float):
     return [a + f * b for a, b in zip(V[i], D[i])]
 
 
+# Breakpoint tables kept. See _equal_time_steps for their memory.
+_STEP_TABLES = 256
+
+
+@lru_cache(maxsize=_STEP_TABLES)
+def _equal_time_steps(mp: int, mq: int) -> tuple[tuple[int, float, int, float], ...]:
+    """The merged breakpoints of two curves of mp and mq >= 1 edges, in
+    traversal order, each as (i, f, j, g): the point of p is P[i] + f *
+    DP[i] and the point of q is Q[j] + g * DQ[j]. The fractions i/mp and
+    j/mq are merged exactly over the denominator mp * mq.
+
+    Memory: a table has at most mp + mq + 1 entries, each at most about
+    185 bytes (its 4-tuple, two floats and, past 256, two ints; 85 to 140
+    bytes measured). The cache keeps _STEP_TABLES tables, so at worst it
+    holds _STEP_TABLES * 185 * (mp + mq + 1) bytes for the longest pairs
+    it has seen: 3.7 MB if all were 40 x 40 vertices, 29 MB if all were
+    321 x 294.
+    """
+    steps = []
+    for k in sorted({*range(0, mp * mq + 1, mq), *range(0, mp * mq + 1, mp)}):
+        u_p, u_q = k / mq, k / mp
+        i, j = int(u_p), int(u_q)
+        if i == mp:
+            i -= 1
+        if j == mq:
+            j -= 1
+        steps.append((i, u_p - i, j, u_q - j))
+    return tuple(steps)
+
+
 def equal_time_upper(p: Curve, q: Curve, r: float) -> VerificationOutcome:
     """Near when the uniform-speed simultaneous traversal stays within r.
 
@@ -505,6 +567,11 @@ def equal_time_upper(p: Curve, q: Curve, r: float) -> VerificationOutcome:
     so the exact maximum is attained at the union of both curves'
     normalized breakpoints. The walk stops at the first breakpoint farther
     than r. Never Far.
+
+    The breakpoints depend only on the two edge counts, so their table,
+    each entry's edges and fractions, is built once per (mp, mq) and kept
+    in a bounded cache (_equal_time_steps); each breakpoint's distance is
+    still _dist's arithmetic on the interpolated points.
     """
     _check_pair(p, q, r)
     P, Q = p._points, q._points
@@ -515,25 +582,17 @@ def equal_time_upper(p: Curve, q: Curve, r: float) -> VerificationOutcome:
         for k in range(max(mp, mq) + 1):
             u_p, u_q = float(k) if mp else 0.0, float(k) if mq else 0.0
             if not _dist(_point_at(P, DP, u_p), _point_at(Q, DQ, u_q)) <= r:
-                return VerificationOutcome(Verdict.UNKNOWN, "equal-time")
-        return VerificationOutcome(Verdict.NEAR, "equal-time")
-    # the fractions i/mp and j/mq, merged exactly over denominator mp*mq
-    for k in sorted({*range(0, mp * mq + 1, mq), *range(0, mp * mq + 1, mp)}):
-        u_p, u_q = k / mq, k / mp
-        # _dist(_point_at(P, DP, u_p), _point_at(Q, DQ, u_q)), inlined
-        i, j = int(u_p), int(u_q)
-        if i == mp:
-            i -= 1
-        if j == mq:
-            j -= 1
-        f, g = u_p - i, u_q - j
+                return _EQUAL_TIME_UNKNOWN
+        return _EQUAL_TIME_NEAR
+    for i, f, j, g in _equal_time_steps(mp, mq):
+        # _dist(P[i] + f * DP[i], Q[j] + g * DQ[j]), inlined
         s = 0.0
         for a, da, b, db in zip(P[i], DP[i], Q[j], DQ[j]):
             t = (a + f * da) - (b + g * db)
             s += t * t
         if not math.sqrt(s) <= r:
-            return VerificationOutcome(Verdict.UNKNOWN, "equal-time")
-    return VerificationOutcome(Verdict.NEAR, "equal-time")
+            return _EQUAL_TIME_UNKNOWN
+    return _EQUAL_TIME_NEAR
 
 
 def greedy_upper(p: Curve, q: Curve, r: float) -> VerificationOutcome:
@@ -549,7 +608,7 @@ def greedy_upper(p: Curve, q: Curve, r: float) -> VerificationOutcome:
     m, n = len(P), len(Q)
     i = j = 0
     if _dist(P[0], Q[0]) > r:
-        return VerificationOutcome(Verdict.UNKNOWN, "greedy")
+        return _GREEDY_UNKNOWN
     while i < m - 1 or j < n - 1:
         best = None
         best_d = math.inf
@@ -560,9 +619,9 @@ def greedy_upper(p: Curve, q: Curve, r: float) -> VerificationOutcome:
             if dd < best_d:
                 best, best_d = (ni, nj), dd
         if best_d > r:
-            return VerificationOutcome(Verdict.UNKNOWN, "greedy")
+            return _GREEDY_UNKNOWN
         i, j = best
-    return VerificationOutcome(Verdict.NEAR, "greedy")
+    return _GREEDY_NEAR
 
 
 def _monotone_position_scan(a: Curve, b: Curve, r: float) -> bool:
@@ -612,8 +671,8 @@ def negative_filter(p: Curve, q: Curve, r: float) -> VerificationOutcome:
     other's polyline; applied in both directions. Never Near."""
     _check_pair(p, q, r)
     if not _monotone_position_scan(p, q, r) or not _monotone_position_scan(q, p, r):
-        return VerificationOutcome(Verdict.FAR, "negative-filter")
-    return VerificationOutcome(Verdict.UNKNOWN, "negative-filter")
+        return _NEGATIVE_FAR
+    return _NEGATIVE_UNKNOWN
 
 
 # ---------------------------------------------------------------------------
@@ -628,8 +687,7 @@ def verify_heur(p: Curve, q: Curve, r: float) -> VerificationOutcome:
         out = step(p, q, r)
         if out.verdict is not Verdict.UNKNOWN:
             return out
-    verdict = Verdict.NEAR if decide_continuous(p, q, r) else Verdict.FAR
-    return VerificationOutcome(verdict, "full-verify")
+    return _FULL_NEAR if decide_continuous(p, q, r) else _FULL_FAR
 
 
 @dataclass(frozen=True)
@@ -686,23 +744,37 @@ class SimplifiedCopies:
         return copy
 
 
+# A join reads one (r, eps) level per eps of its eps_list.
+@lru_cache(maxsize=64, typed=True)
+def _simpl_level(r: float, eps: float) -> tuple[SimplVerifyParams, VerificationOutcome,
+                                                VerificationOutcome, VerificationOutcome]:
+    """The budgets of one simplification level, SimplVerifyParams.for_radius(r,
+    eps), and its Far, Near and Unknown outcomes, built once per (r, eps).
+    A bad value raises on every call: the cache stores no exception."""
+    par = SimplVerifyParams.for_radius(r, eps)
+    stage = f"simpl-{eps:g}"
+    return (par, VerificationOutcome(Verdict.FAR, stage),
+            VerificationOutcome(Verdict.NEAR, stage), VerificationOutcome(Verdict.UNKNOWN, stage))
+
+
 def verify_simpl(
     p: Curve, q: Curve, r: float, eps: float, copies: SimplifiedCopies | None = None
 ) -> VerificationOutcome:
     """Decide via simplified copies when the error budget allows; the
     verdict may be Unknown when neither check succeeds. The copies come
-    from `copies` when given, else each curve is simplified here."""
+    from `copies` when given, else each curve is simplified here. The
+    budgets, the stage name (simpl-<eps>) and the outcomes come from the
+    level of (r, eps), built on its first use (_simpl_level)."""
     _check_pair(p, q, r)
-    par = SimplVerifyParams.for_radius(r, eps)
-    stage = f"simpl-{eps:g}"
+    par, far, near, unknown = _simpl_level(r, eps)
     copy = simplify if copies is None else copies.get
     coarse = verify_heur(copy(p, par.mu_minus), copy(q, par.mu_minus), par.r_minus)
     if coarse.verdict is Verdict.FAR:
-        return VerificationOutcome(Verdict.FAR, stage)
+        return far
     fine = verify_heur(copy(p, par.mu_plus), copy(q, par.mu_plus), par.r_plus)
     if fine.verdict is Verdict.NEAR:
-        return VerificationOutcome(Verdict.NEAR, stage)
-    return VerificationOutcome(Verdict.UNKNOWN, stage)
+        return near
+    return unknown
 
 
 DEFAULT_EPS_LIST = (10.0, 1.0, 0.1)

@@ -170,19 +170,21 @@ class LshIndex:
 
     The fields are the parameters, the keys and the fingerprint of the
     dataset they hash; a built and a loaded index hold the same values.
-    keys[c, i * l_prime + j] is curve c's key in table (i, j). The grid
-    shifts and the fold's multiplier and mixers are re-derived from params,
-    and the sorted run of (table << 32) | key words, with the curve id of
-    each word, from keys. The group table `_groups` is built from the run
-    on the first query that names a stored row, so building or loading an
-    index never pays for it, and an index queried only by external curves
-    never builds it.
+    keys[c, i * l_prime + j] is curve c's key in table (i, j). The sorted
+    run of (table << 32) | key words, with the curve id of each word, is
+    derived from keys. The grid shifts and the fold's multiplier and
+    mixers, `_grids`, are re-derived from params on the first hash of a
+    curve (an external query, or load_index's check of row 0), so an index
+    queried only by stored rows, as a self join's is, never draws them
+    again after build_index. The group table `_groups` is built from the
+    run on the first query that names a stored row, so building or loading
+    an index never pays for it, and an index queried only by external
+    curves never builds it.
     """
 
     params: LshParams
     keys: np.ndarray
     fingerprint: int
-    _grids: tuple = field(init=False, repr=False)
     _run: np.ndarray = field(init=False, repr=False)
     _ids: np.ndarray = field(init=False, repr=False)
 
@@ -199,9 +201,14 @@ class LshIndex:
             ids[lo:lo + step] = order
             run[lo:lo + step] = np.take_along_axis(chunk, order, axis=1)
         run |= _table_words(L)[:, None]
-        object.__setattr__(self, "_grids", _draw_grids(self.params))
         object.__setattr__(self, "_run", run.ravel())
         object.__setattr__(self, "_ids", ids.ravel())
+
+    @cached_property
+    def _grids(self) -> tuple:
+        """The grid shifts, the fold's multiplier, its inverse and the
+        mixers, drawn from params on the first hash of a curve."""
+        return _draw_grids(self.params)
 
     @cached_property
     def _groups(self) -> tuple[np.ndarray, np.ndarray]:

@@ -551,8 +551,55 @@ def greedy_traversal(p: Curve, q: Curve, r: float) -> list | None:
     return path
 
 
-# The equal-time traversal as arrays, beside the walk on Python floats in
-# curvejoin.frechet.equal_time_upper.
+# Oracles for equal_time_upper: the walk as it was computed on every call
+# before the library kept a breakpoint table per (mp, mq), and the
+# traversal as arrays.
+
+
+def equal_time_walk_dists(p: Curve, q: Curve) -> list[float]:
+    """Oracle: every breakpoint distance of the per-call merged-set walk, in
+    traversal order. The merged set is rebuilt and sorted here, and each
+    breakpoint's edges and fractions derived from k, with the library's
+    arithmetic: u_p = k / mq, i = int(u_p) clamped to the last edge, the
+    point P[i] + (u_p - i) * DP[i], and _dist's sum. A single-vertex curve
+    stays put while the other visits its vertices. equal_time_upper is Near
+    exactly when every distance is <= r."""
+    P, Q = p.vertices.tolist(), q.vertices.tolist()
+    DP = [[b - a for a, b in zip(s, e)] for s, e in zip(P, P[1:])]
+    DQ = [[b - a for a, b in zip(s, e)] for s, e in zip(Q, Q[1:])]
+    mp, mq = len(P) - 1, len(Q) - 1
+
+    def at(V, D, u):
+        if len(V) == 1:
+            return V[0]
+        i = min(int(u), len(V) - 2)
+        return [a + (u - i) * b for a, b in zip(V[i], D[i])]
+
+    if mp == 0 or mq == 0:
+        return [_dist(at(P, DP, float(k) if mp else 0.0), at(Q, DQ, float(k) if mq else 0.0))
+                for k in range(max(mp, mq) + 1)]
+    out = []
+    for k in sorted({*range(0, mp * mq + 1, mq), *range(0, mp * mq + 1, mp)}):
+        u_p, u_q = k / mq, k / mp
+        i, j = int(u_p), int(u_q)
+        if i == mp:
+            i -= 1
+        if j == mq:
+            j -= 1
+        f, g = u_p - i, u_q - j
+        s = 0.0
+        for a, da, b, db in zip(P[i], DP[i], Q[j], DQ[j]):
+            t = (a + f * da) - (b + g * db)
+            s += t * t
+        out.append(math.sqrt(s))
+    return out
+
+
+def bbox_far_arrays(p: Curve, q: Curve, r: float) -> bool:
+    """Oracle: bbox_filter's Far test on the corner arrays, as computed on
+    every call before the library kept the corners as floats."""
+    bp, bq = p._box, q._box
+    return bool(np.abs(bp.lower - bq.lower).max() > r or np.abs(bp.upper - bq.upper).max() > r)
 
 
 def _curve_at(V: np.ndarray, u: np.ndarray) -> np.ndarray:

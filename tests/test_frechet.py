@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ from curvejoin import (
     Curve,
     SimplVerifyParams,
     Verdict,
+    VerificationOutcome,
     bbox_filter,
     decide_continuous,
     densify,
@@ -26,10 +28,12 @@ from curvejoin import frechet
 from curvejoin.curves import _dist
 from helpers import (
     assert_valid_witness,
+    bbox_far_arrays,
     curve,
     curve1,
     discrete_frechet_brute,
     equal_time_max_arrays,
+    equal_time_walk_dists,
     greedy_traversal,
     random_pair,
     random_walk_curve,
@@ -314,6 +318,32 @@ class TestSimpleFilters:
                 if out.verdict is Verdict.FAR:
                     assert not near
 
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_float_corners_equal_the_corner_arrays(self, d):
+        # verdicts against the array test at every corner gap exactly and
+        # one ulp either side, including gaps of exactly r and signed zeros
+        rng = np.random.default_rng(60 + d)
+        cases = [random_pair(rng, d) for _ in range(60)]
+        zeros = Curve(0, np.array([[0.0] * d, [-0.0] * d]))
+        cases += [(zeros, Curve(1, np.array([[-0.0] * d]))), (Curve(1, -zeros.vertices), zeros)]
+        for u in range(d):
+            # quarter values subtract exactly: every corner gap in
+            # coordinate u is exactly 0.75
+            V = rng.integers(-8, 8, size=(5, d)) / 4.0
+            W = V.copy()
+            W[:, u] += 0.75
+            cases.append((Curve(0, V), Curve(1, W)))
+        for p, q in cases:
+            gaps = np.abs(np.concatenate((p._box.lower - q._box.lower,
+                                          p._box.upper - q._box.upper)))
+            for gap in gaps.tolist():
+                for r in (gap, math.nextafter(gap, 0.0), math.nextafter(gap, math.inf)):
+                    want = Verdict.FAR if bbox_far_arrays(p, q, r) else Verdict.UNKNOWN
+                    out = bbox_filter(p, q, r)
+                    assert (out.verdict, out.stage) == (want, "bbox"), (p, q, r)
+        assert bbox_filter(*cases[-1], 0.75).verdict is Verdict.UNKNOWN
+        assert bbox_filter(*cases[-1], math.nextafter(0.75, 0.0)).verdict is Verdict.FAR
+
 
 class TestEqualTimeUpper:
     def test_parallel_near(self):
@@ -375,7 +405,10 @@ class TestEqualTimeUpper:
     def test_walk_equals_the_array_oracle(self):
         # verdicts against the array evaluation, at the traversal's own
         # maximum and one ulp either side of it; the positions the walk
-        # visits are a valid witness wherever it answers Near
+        # visits are a valid witness wherever it answers Near. The walk
+        # over the cached breakpoint table also equals the walk that
+        # rebuilt the merged set on every call, at that walk's maximum and
+        # one ulp either side
         rng = np.random.default_rng(49)
         cases = []
         for i in range(150):
@@ -398,6 +431,33 @@ class TestEqualTimeUpper:
                 assert (out.verdict, out.stage) == (want, "equal-time"), (p, q, r)
                 if dmax <= r:
                     assert_valid_witness(p, q, r, positions)
+            _check_against_the_per_call_walk(p, q)
+
+    def test_evicted_tables_are_built_again_alike(self):
+        # more shapes than the cache holds, visited twice: the second round
+        # finds every table evicted and builds it again
+        steps = frechet._equal_time_steps
+        rng = np.random.default_rng(52)
+        pairs = [(random_walk_curve(rng, 0, m, 1 + (m + n) % 3),
+                  random_walk_curve(rng, 1, n, 1 + (m + n) % 3))
+                 for m in range(2, 26) for n in range(2, 26)]
+        assert len(pairs) > steps.cache_info().maxsize
+        for p, q in pairs:
+            _check_against_the_per_call_walk(p, q)
+        misses = steps.cache_info().misses
+        for p, q in pairs:
+            _check_against_the_per_call_walk(p, q)
+        assert steps.cache_info().misses - misses == len(pairs)
+        assert steps.cache_info().currsize == steps.cache_info().maxsize
+
+
+def _check_against_the_per_call_walk(p: Curve, q: Curve) -> None:
+    dists = equal_time_walk_dists(p, q)
+    top = max(dists)
+    for r in (0.0, math.nextafter(top, 0.0), top, math.nextafter(top, math.inf)):
+        want = Verdict.NEAR if all(x <= r for x in dists) else Verdict.UNKNOWN
+        out = equal_time_upper(p, q, r)
+        assert (out.verdict, out.stage) == (want, "equal-time"), (p, q, r)
 
 
 def _at_fraction(V: np.ndarray, ts: np.ndarray) -> np.ndarray:
@@ -584,6 +644,21 @@ class TestVerifySimpl:
             verify_simpl(p, p, 1.0, 0.0)
         with pytest.raises(ValueError):
             verify_simpl(p, p, 0.0, 1.0)
+
+    def test_a_cached_level_still_rejects_bad_values(self):
+        # the level of (1.0, 1.0) is cached before every bad call and read
+        # after them; the shared outcome cannot be changed
+        p = curve1(0, [0.0, 1.0, 0.0])
+        good = verify_simpl(p, p, 1.0, 1.0)
+        assert good == VerificationOutcome(Verdict.NEAR, "simpl-1")
+        for bad in (math.nan, math.inf, 0.0, -1.0):
+            with pytest.raises(ValueError, match="radius"):
+                verify_simpl(p, p, bad, 1.0)
+            with pytest.raises(ValueError, match="eps"):
+                verify_simpl(p, p, 1.0, bad)
+            assert verify_simpl(p, p, 1.0, 1.0) == good
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            good.stage = "simpl-2"
 
 
 class TestVerifyCascade:

@@ -13,11 +13,14 @@ from curvejoin import (
     Dataset,
     IndexFormatError,
     LshParams,
+    QueryConfig,
     build_index,
     discrete_frechet,
     load_index,
+    make_params,
     query_scores,
     save_index,
+    self_join,
     snap_signature,
 )
 from curvejoin import lsh
@@ -636,6 +639,29 @@ class TestStoredRowScores:
         lo, sizes = vars(idx)["_groups"]
         assert lo.shape == sizes.shape == (ds.n, 16)
         assert not lo.flags.writeable and not sizes.flags.writeable
+
+    def test_grids_are_drawn_on_the_first_hash_only(self, monkeypatch, tmp_path):
+        # build_index draws the grids to hash the dataset; the index draws
+        # them again only when it first hashes a curve itself
+        rng = np.random.default_rng(99)
+        ds = _tiny_dataset(rng)
+        draws = []
+        draw = lsh._draw_grids
+        monkeypatch.setattr(lsh, "_draw_grids", lambda params: draws.append(params) or draw(params))
+        cfg = QueryConfig(r=1.0, tau=1.0)
+        params = make_params(ds, cfg, k=2, L=16, seed=2)
+        idx = build_index(ds, params)
+        stored = [query_scores(idx, c, row=c.id) for c in ds]
+        assert len(draws) == 1
+        join = self_join(ds, params, cfg)
+        assert len(draws) == 2 and join.pairs  # the join's own build_index
+        assert [query_scores(idx, _equal_copy(c)) for c in ds] == stored
+        assert len(draws) == 3
+        save_index(idx, tmp_path / "i.bin")
+        loaded = load_index(tmp_path / "i.bin", ds)
+        assert len(draws) == 4  # the check of row 0
+        assert [query_scores(loaded, _equal_copy(c)) for c in ds] == stored
+        assert len(draws) == 4
 
     @pytest.mark.parametrize("row", [-1, 12])
     def test_row_outside_the_index_rejected(self, row):

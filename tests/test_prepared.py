@@ -1,10 +1,10 @@
 """The prepared view of a curve against the per-call computations it
 replaces, bit for bit: float vertices, edge deltas and squared lengths,
-the bounding box and the coordinate columns (equal_time_upper's inline
-points are checked against the array oracle in test_frechet). simplify
-returns the curve itself exactly when it drops no vertex, no caller can
-change a prepared view, and verify's outcomes do not depend on which
-earlier call prepared a curve."""
+the bounding box, its corners as floats and the coordinate columns
+(equal_time_upper's inline points are checked against the array oracle
+in test_frechet). simplify returns the curve itself exactly when it drops
+no vertex, no caller can change a prepared view, and verify's outcomes do
+not depend on which earlier call prepared a curve."""
 
 import dataclasses
 
@@ -60,6 +60,7 @@ def test_view_equals_the_per_call_computation(c):
     box = bounding_box(c)
     assert box.lower.tobytes() == V.min(axis=0).tobytes()
     assert box.upper.tobytes() == V.max(axis=0).tobytes()
+    assert bits(c._corners) == bits(V.min(axis=0).tolist() + V.max(axis=0).tolist())
 
     cols, col_deltas = c._columns
     for u in range(c.dim):
@@ -165,12 +166,14 @@ def test_the_view_cannot_be_changed():
     for arr in c._columns[0] + c._columns[1]:
         with pytest.raises(ValueError):
             arr[0] = 1e9
-    for name in ("_points", "_edges", "_box", "_columns"):
+    for name in ("_points", "_edges", "_box", "_corners", "_columns"):
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(c, name, None)
     with pytest.raises(TypeError):
         c._points[0][0] = 1e9
     with pytest.raises(TypeError):
         c._edges[0][0][0] = 1e9
+    with pytest.raises(TypeError):
+        c._corners[0] = 1e9
     assert bounding_box(c) is box
     assert [outcome(verify(p, q, 1.0)) for p, q in pairs] == before
