@@ -187,7 +187,16 @@ def _dist(a, b) -> float:
     square root of the squared coordinate differences, added in coordinate
     order. Python floats round +, -, * and sqrt as numpy's elementwise
     ufuncs do, so array code that sums the same terms in the same order
-    gets the same bits."""
+    gets the same bits.
+
+    Two coordinates take the loop's operations unrolled: a square is never
+    -0.0, so t0 * t0 + t1 * t1 is the loop's (0.0 + t0 * t0) + t1 * t1."""
+    if len(a) == 2:
+        a0, a1 = a
+        b0, b1 = b
+        t0 = a0 - b0
+        t1 = a1 - b1
+        return math.sqrt(t0 * t0 + t1 * t1)
     s = 0.0
     for x, y in zip(a, b):
         t = x - y

@@ -16,11 +16,14 @@ a pair reads the same prepared data. Every vertex distance is
 curves._dist, the square root of the squared coordinate differences added
 in coordinate order, and the array code that shares a test with it
 (decide_continuous's block window kernel, exact_join's endpoint arrays)
-sums in the same order, so the two agree bit for bit. The negative filter
-is a lazy scan, O(m + n) edge windows per direction, each from the scalar
-window; the block window kernel serves decide_continuous, which computes
-windows in blocks of rows but only over each row's range of columns
-around the reachable band, wider only where a row needs more.
+sums in the same order, so the two agree bit for bit. On 2-d curves,
+_dist, the scalar window and the equal-time walk run their coordinate
+loops unrolled: the same operations in the same order, without the loop's
+per-coordinate overhead, so every result keeps its bits. The negative
+filter is a lazy scan, O(m + n) edge windows per direction, each from the
+scalar window; the block window kernel serves decide_continuous, which
+computes windows in blocks of rows but only over each row's range of
+columns around the reachable band, wider only where a row needs more.
 
 What a step's inputs fix is built once, not on every call. The outcomes
 of the fixed stages (endpoints, bbox, equal-time, greedy, negative-filter,
@@ -218,21 +221,36 @@ def _ball_window(start, delta, aa: float, point, rr: float,
     arithmetic, operation for operation. The edge is its start, its delta
     (end - start) and its squared length aa, the point a float sequence;
     a curve's prepared edges supply delta and aa. rr is r * r and pairs is
-    _minor_pairs(d), both computed once per scan."""
-    w = list(map(sub, start, point))
-    wd = w[0] * delta[0]
-    for u in range(1, len(w)):
-        wd = wd + w[u] * delta[u]
-    if aa == 0.0:
-        ww = w[0] * w[0]
+    _minor_pairs(d), both computed once per scan.
+
+    Two coordinates take the loops unrolled, in the same order: the one
+    minor's square is never -0.0, so it equals the loop's 0.0 + minor^2."""
+    if len(point) == 2:
+        s0, s1 = start
+        x0, x1 = point
+        w0 = s0 - x0
+        w1 = s1 - x1
+        if aa == 0.0:
+            return (0.0, 1.0) if w0 * w0 + w1 * w1 <= rr else (math.inf, -math.inf)
+        d0, d1 = delta
+        wd = w0 * d0 + w1 * d1
+        minor = d0 * w1 - d1 * w0
+        disc = aa * rr - minor * minor
+    else:
+        w = list(map(sub, start, point))
+        if aa == 0.0:
+            ww = w[0] * w[0]
+            for u in range(1, len(w)):
+                ww = ww + w[u] * w[u]
+            return (0.0, 1.0) if ww <= rr else (math.inf, -math.inf)
+        wd = w[0] * delta[0]
         for u in range(1, len(w)):
-            ww = ww + w[u] * w[u]
-        return (0.0, 1.0) if ww <= rr else (math.inf, -math.inf)
-    gram = 0.0
-    for u, v in pairs:
-        minor = delta[u] * w[v] - delta[v] * w[u]
-        gram = gram + minor * minor
-    disc = aa * rr - gram
+            wd = wd + w[u] * delta[u]
+        gram = 0.0
+        for u, v in pairs:
+            minor = delta[u] * w[v] - delta[v] * w[u]
+            gram = gram + minor * minor
+        disc = aa * rr - gram
     if not disc >= 0.0:
         return math.inf, -math.inf
     sq = math.sqrt(disc)
@@ -571,7 +589,8 @@ def equal_time_upper(p: Curve, q: Curve, r: float) -> VerificationOutcome:
     The breakpoints depend only on the two edge counts, so their table,
     each entry's edges and fractions, is built once per (mp, mq) and kept
     in a bounded cache (_equal_time_steps); each breakpoint's distance is
-    still _dist's arithmetic on the interpolated points.
+    still _dist's arithmetic on the interpolated points, unrolled as _dist
+    unrolls it when the curves are 2-d.
     """
     _check_pair(p, q, r)
     P, Q = p._points, q._points
@@ -584,7 +603,16 @@ def equal_time_upper(p: Curve, q: Curve, r: float) -> VerificationOutcome:
             if not _dist(_point_at(P, DP, u_p), _point_at(Q, DQ, u_q)) <= r:
                 return _EQUAL_TIME_UNKNOWN
         return _EQUAL_TIME_NEAR
-    for i, f, j, g in _equal_time_steps(mp, mq):
+    steps = _equal_time_steps(mp, mq)
+    if len(P[0]) == 2:
+        for i, f, j, g in steps:
+            (a0, a1), (da0, da1), (b0, b1), (db0, db1) = P[i], DP[i], Q[j], DQ[j]
+            t0 = (a0 + f * da0) - (b0 + g * db0)
+            t1 = (a1 + f * da1) - (b1 + g * db1)
+            if not math.sqrt(t0 * t0 + t1 * t1) <= r:
+                return _EQUAL_TIME_UNKNOWN
+        return _EQUAL_TIME_NEAR
+    for i, f, j, g in steps:
         # _dist(P[i] + f * DP[i], Q[j] + g * DQ[j]), inlined
         s = 0.0
         for a, da, b, db in zip(P[i], DP[i], Q[j], DQ[j]):

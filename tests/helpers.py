@@ -21,7 +21,7 @@ from curvejoin import (
     verify,
 )
 from curvejoin import lsh
-from curvejoin.curves import _FIELD_SPLIT, ParseError, _dist, _parse_floats
+from curvejoin.curves import _FIELD_SPLIT, ParseError, _parse_floats
 from curvejoin.frechet import DEFAULT_EPS_LIST
 
 
@@ -363,6 +363,61 @@ class DictIndex:
 
 
 # ---------------------------------------------------------------------------
+# The loop forms of the scalar steps. curvejoin's _dist, _ball_window and
+# equal_time_upper unroll their coordinate loops for 2-d curves; these keep
+# the loops, for every d, as the oracles of those branches and of every
+# oracle below that needs a vertex distance.
+
+
+def dist_loop(a, b) -> float:
+    """Oracle: curves._dist's loop, the squared coordinate differences added
+    in coordinate order."""
+    s = 0.0
+    for x, y in zip(a, b):
+        t = x - y
+        s += t * t
+    return math.sqrt(s)
+
+
+def ball_window_loop(start, delta, aa: float, point, rr: float) -> tuple[float, float]:
+    """Oracle: frechet._ball_window's loops, over the coordinates and over the
+    2x2 minors (u, v), u < v, in order. delta and aa are the edge's delta and
+    squared length, rr is r * r."""
+    w = [s - x for s, x in zip(start, point)]
+    d = len(w)
+    if aa == 0.0:
+        ww = w[0] * w[0]
+        for u in range(1, d):
+            ww = ww + w[u] * w[u]
+        return (0.0, 1.0) if ww <= rr else (math.inf, -math.inf)
+    wd = w[0] * delta[0]
+    for u in range(1, d):
+        wd = wd + w[u] * delta[u]
+    gram = 0.0
+    for u in range(d):
+        for v in range(u + 1, d):
+            minor = delta[u] * w[v] - delta[v] * w[u]
+            gram = gram + minor * minor
+    disc = aa * rr - gram
+    if not disc >= 0.0:
+        return math.inf, -math.inf
+    sq = math.sqrt(disc)
+    lo = (-wd - sq) / aa
+    hi = (-wd + sq) / aa
+    return 0.0 if lo <= 0.0 else lo, 1.0 if hi >= 1.0 else hi
+
+
+def equal_time_step_dist_loop(a, da, b, db, f: float, g: float) -> float:
+    """Oracle: the distance of one equal-time breakpoint, a + f * da against
+    b + g * db, with _dist's loop over the coordinates."""
+    s = 0.0
+    for x, dx, y, dy in zip(a, da, b, db):
+        t = (x + f * dx) - (y + g * dy)
+        s += t * t
+    return math.sqrt(s)
+
+
+# ---------------------------------------------------------------------------
 # Oracles for the free-space decision and the monotone position scan: the
 # full row-by-row sweep and the scalar per-edge scan that the band sweep and
 # the block window kernel in curvejoin.frechet replace. Both must agree with
@@ -398,11 +453,12 @@ def _ball_windows_rows(w: np.ndarray, deltas: np.ndarray, r: float):
 
 def decide_continuous_full(p: Curve, q: Curve, r: float) -> bool:
     """Oracle: the free-space decision swept over every one of the m*n cells.
-    The endpoint test uses the library's vertex distance, curves._dist, so
-    the oracle and decide_continuous agree at knife-edge radii."""
+    The endpoint test uses the library's vertex distance, curves._dist (in
+    its loop form), so the oracle and decide_continuous agree at knife-edge
+    radii."""
     P, Q = p.vertices, q.vertices
-    if (_dist(P[0].tolist(), Q[0].tolist()) > r
-            or _dist(P[-1].tolist(), Q[-1].tolist()) > r):
+    if (dist_loop(P[0].tolist(), Q[0].tolist()) > r
+            or dist_loop(P[-1].tolist(), Q[-1].tolist()) > r):
         return False
     if len(P) == 1 or len(Q) == 1:
         a, V = (P[0], Q) if len(P) == 1 else (Q[0], P)
@@ -535,17 +591,17 @@ def greedy_traversal(p: Curve, q: Curve, r: float) -> list | None:
     """Oracle: greedy_upper's walk as (i, j) vertex positions, or None where
     the library answers Unknown. From (i, j) it takes the closest of
     (i+1, j+1), (i+1, j), (i, j+1), the first of them at a tie; distances
-    are _dist's, so verdicts compare exactly."""
+    are _dist's (in its loop form), so verdicts compare exactly."""
     P, Q = p.vertices.tolist(), q.vertices.tolist()
-    if _dist(P[0], Q[0]) > r:
+    if dist_loop(P[0], Q[0]) > r:
         return None
     i = j = 0
     path = [(0.0, 0.0)]
     while i < len(P) - 1 or j < len(Q) - 1:
         moves = [(a, b) for a, b in ((i + 1, j + 1), (i + 1, j), (i, j + 1))
                  if a < len(P) and b < len(Q)]
-        i, j = min(moves, key=lambda move: _dist(P[move[0]], Q[move[1]]))
-        if _dist(P[i], Q[j]) > r:
+        i, j = min(moves, key=lambda move: dist_loop(P[move[0]], Q[move[1]]))
+        if dist_loop(P[i], Q[j]) > r:
             return None
         path.append((float(i), float(j)))
     return path
@@ -561,9 +617,9 @@ def equal_time_walk_dists(p: Curve, q: Curve) -> list[float]:
     traversal order. The merged set is rebuilt and sorted here, and each
     breakpoint's edges and fractions derived from k, with the library's
     arithmetic: u_p = k / mq, i = int(u_p) clamped to the last edge, the
-    point P[i] + (u_p - i) * DP[i], and _dist's sum. A single-vertex curve
-    stays put while the other visits its vertices. equal_time_upper is Near
-    exactly when every distance is <= r."""
+    point P[i] + (u_p - i) * DP[i], and _dist's sum in its loop form. A
+    single-vertex curve stays put while the other visits its vertices.
+    equal_time_upper is Near exactly when every distance is <= r."""
     P, Q = p.vertices.tolist(), q.vertices.tolist()
     DP = [[b - a for a, b in zip(s, e)] for s, e in zip(P, P[1:])]
     DQ = [[b - a for a, b in zip(s, e)] for s, e in zip(Q, Q[1:])]
@@ -576,7 +632,7 @@ def equal_time_walk_dists(p: Curve, q: Curve) -> list[float]:
         return [a + (u - i) * b for a, b in zip(V[i], D[i])]
 
     if mp == 0 or mq == 0:
-        return [_dist(at(P, DP, float(k) if mp else 0.0), at(Q, DQ, float(k) if mq else 0.0))
+        return [dist_loop(at(P, DP, float(k) if mp else 0.0), at(Q, DQ, float(k) if mq else 0.0))
                 for k in range(max(mp, mq) + 1)]
     out = []
     for k in sorted({*range(0, mp * mq + 1, mq), *range(0, mp * mq + 1, mp)}):
@@ -586,12 +642,7 @@ def equal_time_walk_dists(p: Curve, q: Curve) -> list[float]:
             i -= 1
         if j == mq:
             j -= 1
-        f, g = u_p - i, u_q - j
-        s = 0.0
-        for a, da, b, db in zip(P[i], DP[i], Q[j], DQ[j]):
-            t = (a + f * da) - (b + g * db)
-            s += t * t
-        out.append(math.sqrt(s))
+        out.append(equal_time_step_dist_loop(P[i], DP[i], Q[j], DQ[j], u_p - i, u_q - j))
     return out
 
 

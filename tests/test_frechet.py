@@ -706,6 +706,29 @@ class TestVerifyCascade:
             with pytest.raises(ValueError, match="finite"):
                 verify(c, c, 1.0, eps_list=bad)
 
+    def test_bad_eps_lists_raise_on_every_call(self):
+        # after a good list has passed, each bad list (tuple or list) still
+        # raises on every call, with the same text each time
+        c = curve1(0, [0.0, 1.0])
+        good = (10.0, 1.0, 0.1)
+        for _ in range(2):
+            assert verify(c, c, 1.0, eps_list=good).verdict is Verdict.NEAR
+            frechet.check_eps_list(good)
+        bads = [(math.nan,), (1.0, math.nan), (0.0,), (10.0, 0.0), (0.1, 1.0),
+                (1.0, 1.0), (), [1.0, 0.0], [0.1, 1.0], []]
+        texts = []
+        for bad in bads:
+            with pytest.raises(ValueError) as first:
+                frechet.check_eps_list(bad)
+            texts.append(str(first.value))
+        for _ in range(2):
+            for bad, text in zip(bads, texts):
+                with pytest.raises(ValueError) as again:
+                    verify(c, c, 1.0, eps_list=bad)
+                assert str(again.value) == text
+        assert verify(c, c, 1.0, eps_list=[10.0, 1.0]).verdict is Verdict.NEAR
+        assert "strictly decreasing" in texts[4] and "finite" in texts[0]
+
 
 class TestMetricProperties:
     def test_discrete_triangle_inequality(self):
@@ -721,6 +744,35 @@ class TestMetricProperties:
 
     def test_brute_force_on_single_vertices(self):
         assert discrete_frechet_brute(curve1(0, [0.0]), curve1(1, [3.0])) == 3.0
+
+    def test_far_verdicts_never_return_as_the_radius_grows(self):
+        # every free-space window grows with r, and every step's arithmetic
+        # rounds monotonically, so for fixed curves a step that is not Far
+        # at r is not Far at any larger R: at knife-edge radii (each
+        # vertex-vertex distance and the discrete distance, 3 ulps either
+        # side), the Far verdicts form a prefix of the sorted radii
+        def ulps(x, k=3):
+            lo = hi = x
+            out = [x]
+            for _ in range(k):
+                lo, hi = math.nextafter(lo, 0.0), math.nextafter(hi, math.inf)
+                out += [lo, hi]
+            return out
+
+        steps = (
+            lambda p, q, r: not decide_continuous(p, q, r),
+            lambda p, q, r: negative_filter(p, q, r).verdict is Verdict.FAR,
+            lambda p, q, r: verify_heur(p, q, r).verdict is Verdict.FAR,
+        )
+        rng = np.random.default_rng(72)
+        for i in range(45):
+            p, q = random_pair(rng, 1 + i % 3, m_max=5)
+            diff = p.vertices[:, None, :] - q.vertices[None, :, :]
+            base = np.sqrt((diff * diff).sum(axis=2)).ravel().tolist()
+            radii = sorted({x for b in base + [discrete_frechet(p, q)] for x in ulps(b)})
+            for k, far in enumerate(steps):
+                fars = [far(p, q, r) for r in radii]
+                assert fars == sorted(fars, reverse=True), (i, k)
 
 
 class TestWorkedExamples:
