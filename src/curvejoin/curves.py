@@ -30,11 +30,9 @@ from pathlib import Path
 import numpy as np
 
 __all__ = [
-    "BoundingBox",
     "Curve",
     "Dataset",
     "ParseError",
-    "bounding_box",
     "densify",
     "longest_edge",
     "parse_series_1d",
@@ -114,28 +112,10 @@ class Curve:
         return tuple(map(tuple, deltas.tolist())), tuple(sq.tolist())
 
     @cached_property
-    def _box(self) -> BoundingBox:
-        """The bounding box, with read-only corners."""
-        lower, upper = self.vertices.min(axis=0), self.vertices.max(axis=0)
-        lower.setflags(write=False)
-        upper.setflags(write=False)
-        return BoundingBox(lower, upper)
-
-    @cached_property
     def _corners(self) -> tuple[float, ...]:
-        """The bounding box's lower corner, then its upper corner, as floats."""
-        box = self._box
-        return tuple(box.lower.tolist() + box.upper.tolist())
-
-    @cached_property
-    def _columns(self) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
-        """The contiguous coordinate columns and, per coordinate, the edge
-        deltas (column[1:] - column[:-1]), all read-only."""
-        cols = self.vertices.T.copy()
-        deltas = cols[:, 1:] - cols[:, :-1]
-        cols.setflags(write=False)
-        deltas.setflags(write=False)
-        return tuple(cols), tuple(deltas)
+        """The bounding box as floats: the coordinate-wise minima of the
+        vertices, then their maxima."""
+        return tuple(self.vertices.min(axis=0).tolist() + self.vertices.max(axis=0).tolist())
 
 
 @dataclass(frozen=True)
@@ -174,14 +154,6 @@ class Dataset:
         return self.curves[curve_id]
 
 
-@dataclass(frozen=True)
-class BoundingBox:
-    """Coordinate-wise min/max corners of a curve's vertices."""
-
-    lower: np.ndarray
-    upper: np.ndarray
-
-
 def _dist(a, b) -> float:
     """Euclidean distance of two points given as sequences of floats: the
     square root of the squared coordinate differences, added in coordinate
@@ -212,12 +184,6 @@ def _dists(diff: np.ndarray) -> np.ndarray:
     for u in range(1, diff.shape[-1]):
         sq += diff[..., u] * diff[..., u]
     return np.sqrt(sq)
-
-
-def bounding_box(p: Curve) -> BoundingBox:
-    """Exact coordinate-wise min/max over the curve's vertices; the corners
-    are computed once per curve and are read-only."""
-    return p._box
 
 
 def longest_edge(p: Curve) -> float:

@@ -25,7 +25,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .curves import Curve, Dataset, _dists, bounding_box, check_positive
+from .curves import Curve, Dataset, _dists, check_positive
 from .frechet import (
     DEFAULT_EPS_LIST,
     SimplifiedCopies,
@@ -327,9 +327,8 @@ def exact_join(dataset: Dataset, r: float, eps_list=DEFAULT_EPS_LIST) -> tuple:
     copies = SimplifiedCopies()
     firsts = np.array([c.vertices[0] for c in dataset])
     lasts = np.array([c.vertices[-1] for c in dataset])
-    boxes = [bounding_box(c) for c in dataset]
-    lower = np.array([b.lower for b in boxes])
-    upper = np.array([b.upper for b in boxes])
+    corners = np.array([c._corners for c in dataset])
+    lower, upper = corners[:, :dataset.d], corners[:, dataset.d:]
     out = []
     for i in range(dataset.n - 1):
         passed = (

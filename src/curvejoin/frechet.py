@@ -6,24 +6,22 @@ decision procedure for the continuous distance, cheap one-sided filters
 position scan), a simplification-based pre-check with error budgets, and
 the cascade that combines them into a decisive Near/Far answer.
 
-The cascade's one-sided steps run on Python floats: on curves of a few
-dozen vertices numpy's per-call overhead costs more than the arithmetic.
-They read each curve's prepared view (see curves.Curve): its float
-vertices, edge deltas and squared edge lengths, bounding box and
-coordinate columns are computed once per curve, and a simplification that
-drops no vertex is the curve itself, so every step and every eps level of
-a pair reads the same prepared data. Every vertex distance is
-curves._dist, the square root of the squared coordinate differences added
-in coordinate order, and the array code that shares a test with it
-(decide_continuous's block window kernel, exact_join's endpoint arrays)
-sums in the same order, so the two agree bit for bit. On 2-d curves,
-_dist, the scalar window and the equal-time walk run their coordinate
-loops unrolled: the same operations in the same order, without the loop's
-per-coordinate overhead, so every result keeps its bits. The negative
-filter is a lazy scan, O(m + n) edge windows per direction, each from the
-scalar window; the block window kernel serves decide_continuous, which
-computes windows in blocks of rows but only over each row's range of
-columns around the reachable band, wider only where a row needs more.
+The cascade's steps run on Python floats: on curves of a few dozen
+vertices numpy's per-call overhead costs more than the arithmetic. They
+read each curve's prepared view (see curves.Curve): its float vertices,
+edge deltas, squared edge lengths and bounding-box corners are computed
+once per curve, and a simplification that drops no vertex is the curve
+itself, so every step and every eps level of a pair reads the same
+prepared data. Every vertex distance is curves._dist, the square root of
+the squared coordinate differences added in coordinate order, and the
+array code that shares a test with it (exact_join's endpoint arrays) sums
+in the same order, so the two agree bit for bit. Every free-space window
+is one _ball_window call: the negative filter's lazy scan computes O(m + n)
+of them per direction, and decide_continuous computes a cell's windows only
+when its sweep reaches the cell. On 2-d curves, _dist, the window and the
+equal-time walk run their coordinate loops unrolled: the same operations
+in the same order, without the loop's per-coordinate overhead, so every
+result keeps its bits.
 
 What a step's inputs fix is built once, not on every call. The outcomes
 of the fixed stages (endpoints, bbox, equal-time, greedy, negative-filter,
@@ -48,8 +46,6 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from operator import sub
-
-import numpy as np
 
 from .curves import Curve, _dist, _dists, check_positive, simplify
 
@@ -151,77 +147,26 @@ def discrete_frechet(p: Curve, q: Curve) -> float:
 # Continuous Frechet decision (free-space diagram reachability)
 
 
-# Rows of free-space windows computed per kernel call: working memory is
-# O(_BLOCK * band width), and a Far decision wastes at most one block.
-_BLOCK = 64
-# Columns read per step once a row's sweep runs past the cell after its
-# last reachable entry. Each row's range of windows starts one step before
-# the band and ends at least one step past it.
-_CHUNK = 8
-
-
-def _ball_windows(starts, deltas, points, r: float) -> tuple[np.ndarray, np.ndarray]:
-    """Per (edge, point) pair, the parameter window of the edge within r of
-    the point: the t in [0, 1] with ||start + t*delta - point|| <= r.
-
-    starts, deltas and points are per-coordinate sequences of arrays that
-    broadcast to one shape, the shape of the returned (lo, hi); empty
-    windows have lo > hi. The discriminant is evaluated as r^2*||delta||^2
-    minus the squared rejection of w = start - point (a sum of squared 2x2
-    minors); the naive b^2 - 4ac form cancels catastrophically when w is
-    nearly parallel to delta and r is small. Sums run over the coordinates
-    in order, so each window is bit-identical whatever the block shape.
-    The kernel is elementwise, so a window is the same whether its block
-    covers whole rows or, as decide_continuous's _band_windows computes
-    them, each row's range of columns around the reachable band. The
-    negative filter's lazy scan computes one window at a time with the
-    scalar twin _ball_window.
-    """
-    w = [s - x for s, x in zip(starts, points)]
-    d = len(w)
-    aa = deltas[0] * deltas[0]
-    wd = w[0] * deltas[0]
-    for u in range(1, d):
-        aa = aa + deltas[u] * deltas[u]
-        wd = wd + w[u] * deltas[u]
-    gram = 0.0
-    for u in range(d):
-        for v in range(u + 1, d):
-            minor = deltas[u] * w[v] - deltas[v] * w[u]
-            gram = gram + minor * minor
-    disc = aa * (r * r) - gram
-    with np.errstate(divide="ignore", invalid="ignore"):
-        sq = np.sqrt(disc)  # NaN exactly where not disc >= 0
-        nwd = -wd
-        lo = np.maximum((nwd - sq) / aa, 0.0)
-        hi = np.minimum((nwd + sq) / aa, 1.0)
-    empty = np.isnan(sq)
-    degen = aa == 0.0
-    if degen.any():
-        ww = w[0] * w[0]
-        for u in range(1, d):
-            ww = ww + w[u] * w[u]
-        lo = np.where(degen, 0.0, lo)
-        hi = np.where(degen, 1.0, hi)
-        empty = np.where(degen, ~(ww <= r * r), empty)
-    np.copyto(lo, math.inf, where=empty)
-    np.copyto(hi, -math.inf, where=empty)
-    return lo, hi
-
-
 def _minor_pairs(d: int) -> tuple[tuple[int, int], ...]:
     """The coordinate pairs (u, v), u < v, of the 2x2 minors in the order
-    _ball_windows sums them."""
+    _ball_window sums them; a decision or a scan builds them once."""
     return tuple((u, v) for u in range(d) for v in range(u + 1, d))
 
 
 def _ball_window(start, delta, aa: float, point, rr: float,
                  pairs: tuple[tuple[int, int], ...]) -> tuple[float, float]:
-    """The window of one edge within r of one point: _ball_windows'
-    arithmetic, operation for operation. The edge is its start, its delta
-    (end - start) and its squared length aa, the point a float sequence;
-    a curve's prepared edges supply delta and aa. rr is r * r and pairs is
-    _minor_pairs(d), both computed once per scan.
+    """The window of one edge within r of one point: the t in [0, 1] with
+    ||start + t*delta - point|| <= r, as (lo, hi); an empty window is
+    (inf, -inf). This is the library's only window arithmetic: the free-space
+    decision and the negative filter's scan both call it.
+
+    The edge is its start, its delta (end - start) and its squared length
+    aa, the point a float sequence; a curve's prepared edges supply delta
+    and aa. rr is r * r and pairs is _minor_pairs(d), both computed once per
+    decision or scan. The discriminant is r^2*||delta||^2 minus the squared
+    rejection of w = start - point, a sum of squared 2x2 minors; the naive
+    b^2 - 4ac form cancels catastrophically when w is nearly parallel to
+    delta and r is small. Sums run over the coordinates in order.
 
     Two coordinates take the loops unrolled, in the same order: the one
     minor's square is never -0.0, so it equals the loop's 0.0 + minor^2."""
@@ -255,7 +200,7 @@ def _ball_window(start, delta, aa: float, point, rr: float,
         return math.inf, -math.inf
     sq = math.sqrt(disc)
     nwd = -wd
-    # np.maximum and np.minimum, NaN and the sign of zero included
+    # clipped to [0, 1] as np.maximum and np.minimum clip, the sign of zero included
     lo = (nwd - sq) / aa
     hi = (nwd + sq) / aa
     return 0.0 if lo <= 0.0 else lo, 1.0 if hi >= 1.0 else hi
@@ -277,34 +222,6 @@ def check_eps_list(eps_list) -> None:
             f"eps_list must be non-empty and strictly decreasing, got {tuple(eps_list)}")
 
 
-def _band_windows(p: Curve, q: Curve, i0: int, i1: int, starts: np.ndarray, w: int,
-                  r: float) -> np.ndarray:
-    """The free-space windows of the rows i0 .. i1-1 of the diagram of p
-    (rows) and q (columns), each over its own range of w cells, stacked as
-    an array of shape (rows, 4, w + 1).
-
-    The range of row i starts at column s = starts[i - i0]; column t of
-    its slot holds the window of p-edge i on q-vertex s + t (the vertical
-    boundary, lo then hi) and the window of q-edge s + t - 1 on p-vertex
-    i + 1 (the line above the row, lo then hi). So cell c, at t = c + 1 - s,
-    finds its right and top boundaries in one column, one slice reads a run
-    of cells, and t = 0 holds the left boundary of cell s. Row -1 stands for
-    line 0, the bottom line: only its line windows are meaningful.
-    """
-    (Pc, p_deltas), (Qc, q_deltas) = p._columns, q._columns
-    rows = np.arange(i0, i1)
-    if starts[0] == starts[-1]:
-        starts = starts[:1]  # starts never fall: one range, broadcast to every row
-    edge = np.maximum(rows, 0)[:, None]
-    cols = starts[:, None] + np.arange(w + 1)
-    q_edge = np.maximum(cols - 1, 0)
-    vlo, vhi = _ball_windows([c[edge] for c in Pc], [c[edge] for c in p_deltas],
-                             [c[cols] for c in Qc], r)
-    hlo, hhi = _ball_windows([c[q_edge] for c in Qc], [c[q_edge] for c in q_deltas],
-                             [c[rows + 1, None] for c in Pc], r)
-    return np.concatenate((vlo, vhi, hlo, hhi), axis=1).reshape(i1 - i0, 4, w + 1)
-
-
 def decide_continuous(p: Curve, q: Curve, r: float) -> bool:
     """True iff the continuous Frechet distance of p and q is at most r.
 
@@ -314,21 +231,12 @@ def decide_continuous(p: Curve, q: Curve, r: float) -> bool:
     answers Far as soon as nothing on the next line, the left boundary or
     the right boundary is reachable.
 
-    The free-space windows come from a vectorized kernel run on blocks of
-    up to _BLOCK rows, and only along the reachable band: each row of a
-    block gets a range of columns that starts at or before the previous
-    line's first reachable entry and is wide enough for the band plus the
-    sweep's _CHUNK lookahead. While the left boundary is reachable the
-    ranges start at column 0; otherwise they follow a corner-to-corner
-    path's mean slope, (n-1)/(m-1) columns per row. When a row needs a
-    column outside its range (the band drifted or widened, the right
-    boundary is reachable, or the bottom line's reachable prefix runs past
-    the first range), the rest of the block is computed again, wider, from
-    that row; the final line's tail is computed when the walk to the corner
-    reaches it. The kernel is elementwise, so every window, and with it
-    every verdict, is the one a full-width block would give. Numpy does
-    O(|p| * band width) arithmetic and holds one block of it; Python visits
-    only the reachable band's cells.
+    Each free-space window is one _ball_window call, made only when the
+    sweep reaches it: a visited cell's right and top boundaries, the left
+    and right boundary lines while they are reachable, the bottom line's
+    reachable prefix and the walk along the final line. A cell with no
+    entry from the left or from below computes nothing, so the work is
+    O(band cells), not O(|p| * |q|).
     """
     _check_pair(p, q, r)
     if max(_endpoint_dists(p, q)) > r:
@@ -340,134 +248,100 @@ def decide_continuous(p: Curve, q: Curve, r: float) -> bool:
     if len(q) > len(p):
         p, q = q, p  # rows run along the longer curve
 
-    m, n = len(p), len(q)
-    slope = (n - 1) / (m - 1)
+    P, Q = p._points, q._points
+    (DP, AP), (DQ, AQ) = p._edges, q._edges
+    rr, pairs = r * r, _minor_pairs(len(P[0]))
+    m, n = len(P), len(Q)
+
+    # The bottom line (p-parameter = 0) is reachable only as a contiguous
+    # prefix of columns 0 .. last.
+    last = 0
+    if n > 2:
+        hh = _ball_window(Q[0], DQ[0], AQ[0], P[0], rr, pairs)[1]
+        for j in range(1, n - 1):
+            if hh != 1.0:
+                break
+            hl, hh = _ball_window(Q[j], DQ[j], AQ[j], P[0], rr, pairs)
+            if hl != 0.0:
+                break
+            last = j
 
     # entry[j]: the smallest reachable parameter on the current line in
     # column j, None = blocked; reachable entries lie in columns first..last.
     # The next line is written into spare, the line before the current one
     # with its entries cleared.
-    entry: list[float | None] = []
+    entry: list[float | None] = [0.0] * (last + 1) + [None] * (n - 2 - last)
     spare: list[float | None] = [None] * (n - 1)
-    first = last = 0
+    first = 0
 
     leftline: float | None = 0.0  # entry on the q-parameter = 0 boundary
     rightline = False  # the q-parameter = n-1 boundary is reachable
-    prev_vhi0 = prev_vhi_last = None
-
-    # Windows of rows b .. end-1 (row -1: line 0), row i's range starting
-    # at starts[i - b]; reach: a column the current row needs outside its
-    # range, None while the range serves.
-    i = b = end = -1
-    reach: int | None = None
-    while i < m - 1:
-        if i == end or reach is not None:
-            if i == end:
-                end = min(m - 1, (max(i, 0) // _BLOCK + 1) * _BLOCK)
-            lo = 0 if leftline is not None else first
-            w = max(last + 1 - lo, 2 * _CHUNK, 2 * ((reach or lo) - lo)) + 2 * _CHUNK
-            w = min(w, n - 1)
-            rise = np.arange(end - i) * (0.0 if leftline is not None else slope)
-            starts = np.minimum(np.maximum(lo - _CHUNK + rise.astype(np.intp), 0), n - 1 - w)
-            windows = _band_windows(p, q, i, end, starts, w, r)
-            starts = starts.tolist()
-            b, reach = i, None
-        row, s = windows[i - b], starts[i - b]
-
-        if i < 0:
-            # Free intervals on the bottom line (p-parameter = 0), which is
-            # reachable only as a contiguous prefix of columns.
-            hlo, hhi = row[2, 1:], row[3, 1:]
-            prefix = (hhi[:-1] == 1.0) & (hlo[1:] == 0.0)
-            whole = bool(prefix.all())
-            if whole and w < n - 1:
-                reach = w
-                continue
-            last = n - 2 if whole else int(np.argmin(prefix))
-            entry = [0.0] * (last + 1) + [None] * (n - 2 - last)
-            i = 0
-            continue
-
-        j = 0 if leftline is not None else first
-        if j < s or (rightline and prev_vhi_last == 1.0 and s + w < n - 1):
-            reach = j if j < s else n - 1
-            continue
-        if i > 0 and leftline is not None and not (
-                prev_vhi0 == 1.0 and row[0, 0] == 0.0):
+    vhi0 = vhi_last = None  # the previous row's hi on those boundaries
+    for i in range(m - 1):
+        a, da, aa, above = P[i], DP[i], AP[i], P[i + 1]
+        # the left boundary stays reachable while each row's window on it
+        # spans [0, 1]; row 0 starts at the corner
+        if leftline is not None and (i == 0 or vhi0 == 1.0):
+            vlo0, vhi0 = _ball_window(a, da, aa, Q[0], rr, pairs)
+            if i > 0 and vlo0 != 0.0:
+                leftline = None
+        else:
             leftline = None
-            j = first
 
         left = leftline  # entry on the left boundary of the current cell
         new_entry = spare
         nfirst, nlast = n - 1, -1
-        while j < n - 1 and (left is not None or j <= last):
-            # the band and the cell after it in one read, then short reads
-            # while left survives
-            stop = min(n - 1, max(last + 2, j + _CHUNK))
-            if stop > s + w:
-                reach = stop
-                break
-            vls, vhs, hls, hhs = row[:, j + 1 - s:stop + 1 - s].tolist()
-            for jj, bot, vl, vh, hl, hh in zip(
-                    range(j, stop), entry[j:stop], vls, vhs, hls, hhs):
-                # top boundary of cell (i, jj), then its right boundary
-                if left is not None:
-                    top = hl if hl <= hh else None
-                    if bot is None:
-                        e = left if left > vl else vl
-                        left = e if e <= vh else None
-                    else:
-                        left = vl if vl <= vh else None
-                elif bot is not None:
-                    e = bot if bot > hl else hl
-                    top = e if e <= hh else None
-                    left = vl if vl <= vh else None
-                elif jj > last:
+        for j in range(0 if leftline is not None else first, n - 1):
+            bot = entry[j]
+            if left is None and bot is None:
+                if j > last:
                     break
-                else:
-                    continue
-                if top is not None:
-                    new_entry[jj] = top
-                    if nlast < 0:
-                        nfirst = jj
-                    nlast = jj
-            else:
-                j = stop
                 continue
-            break
-        if reach is not None:
-            # the row again, on a wider range
-            new_entry[nfirst:nlast + 1] = [None] * (nlast + 1 - nfirst)
-            continue
+            # the top boundary of cell (i, j): entered from the left anywhere
+            # in its window, from below only at bot or later
+            hl, hh = _ball_window(Q[j], DQ[j], AQ[j], above, rr, pairs)
+            if left is None and bot > hl:
+                hl = bot
+            if hl <= hh:
+                new_entry[j] = hl
+                if nlast < 0:
+                    nfirst = j
+                nlast = j
+            # its right boundary: entered from below anywhere in its window,
+            # from the left only at left or later
+            vl, vh = _ball_window(a, da, aa, Q[j + 1], rr, pairs)
+            if bot is None and left > vl:
+                vl = left
+            left = vl if vl <= vh else None
 
         # Reachability on the q-parameter = n-1 boundary, carried across
-        # rows; its windows are read only while it is reachable.
-        rightline = left is not None or (
-            rightline and prev_vhi_last == 1.0 and row[0, n - 1 - s] == 0.0)
-        if rightline:
-            prev_vhi_last = row[1, n - 1 - s]
-        if leftline is not None:
-            prev_vhi0 = row[1, 0]
+        # rows; its window is computed only while it is reachable. A left
+        # entry past the last cell was computed on that boundary.
+        if left is not None:
+            rightline, vhi_last = True, vh
+        elif rightline and vhi_last == 1.0:
+            vl, vhi_last = _ball_window(a, da, aa, Q[n - 1], rr, pairs)
+            rightline = vl == 0.0
+        else:
+            rightline = False
         entry[first:last + 1] = [None] * (last + 1 - first)
         spare, entry, first, last = entry, new_entry, nfirst, nlast
         if last < 0 and leftline is None and not rightline:
             return False
-        i += 1
 
-    if rightline and prev_vhi_last == 1.0:
+    if rightline and vhi_last == 1.0:
         return True
     # Travel along the final p-parameter = m-1 line toward the corner:
     # at_end == the line's s = 1 point in column j is reachable.
     at_end = False
-    hls, hhs = row[2:, first + 1 - s:].tolist()
-    for bot, hl, hh in zip(entry[first:], hls, hhs):
-        at_end = (bot is not None or (at_end and hl == 0.0)) and hh == 1.0
-    if at_end and s + w < n - 1:
-        # no entry lies past the range: the walk continues on free edges
-        Pc, (Qc, q_deltas) = p._columns[0], q._columns
-        hlo, hhi = _ball_windows([c[s + w:-1] for c in Qc], [c[s + w:] for c in q_deltas],
-                                 [c[m - 1] for c in Pc], r)
-        at_end = bool(((hlo == 0.0) & (hhi == 1.0)).all())
+    for j in range(first, n - 1):
+        bot = entry[j]
+        if bot is None and not at_end:
+            if j > last:
+                break
+            continue
+        hl, hh = _ball_window(Q[j], DQ[j], AQ[j], P[m - 1], rr, pairs)
+        at_end = (bot is not None or hl == 0.0) and hh == 1.0
     return at_end
 
 

@@ -418,10 +418,10 @@ def equal_time_step_dist_loop(a, da, b, db, f: float, g: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Oracles for the free-space decision and the monotone position scan: the
-# full row-by-row sweep and the scalar per-edge scan that the band sweep and
-# the block window kernel in curvejoin.frechet replace. Both must agree with
-# the library bit for bit.
+# Oracles for the free-space decision, its windows and the monotone position
+# scan: the full row-by-row sweep, the row window kernel and the per-edge
+# numpy scan that the band sweep, the scalar window and the lazy scan in
+# curvejoin.frechet replace. Each must agree with the library bit for bit.
 
 
 def _ball_windows_rows(w: np.ndarray, deltas: np.ndarray, r: float):
@@ -649,8 +649,9 @@ def equal_time_walk_dists(p: Curve, q: Curve) -> list[float]:
 def bbox_far_arrays(p: Curve, q: Curve, r: float) -> bool:
     """Oracle: bbox_filter's Far test on the corner arrays, as computed on
     every call before the library kept the corners as floats."""
-    bp, bq = p._box, q._box
-    return bool(np.abs(bp.lower - bq.lower).max() > r or np.abs(bp.upper - bq.upper).max() > r)
+    P, Q = p.vertices, q.vertices
+    return bool(np.abs(P.min(axis=0) - Q.min(axis=0)).max() > r
+                or np.abs(P.max(axis=0) - Q.max(axis=0)).max() > r)
 
 
 def _curve_at(V: np.ndarray, u: np.ndarray) -> np.ndarray:

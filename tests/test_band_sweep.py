@@ -1,8 +1,8 @@
-"""Differential tests: the band sweep of decide_continuous and its block
-window kernel, and the lazy scan of negative_filter and its scalar window,
-against the slow paths they replace (the full m*n sweep and the per-edge
-numpy scan, kept in helpers as oracles). Every boolean must be identical,
-knife-edge radii included."""
+"""Differential tests: the band sweep of decide_continuous, the lazy scan
+of negative_filter and the scalar window both compute with, against the
+slow paths they replace (the full m*n sweep, the per-edge numpy scan and the
+row window kernel, kept in helpers as oracles). Every boolean must be
+identical, knife-edge radii included."""
 
 import math
 import tracemalloc
@@ -15,7 +15,6 @@ from curvejoin import Curve, Verdict, decide_continuous, densify, negative_filte
 from curvejoin import frechet
 from curvejoin.frechet import (
     _ball_window,
-    _ball_windows,
     _minor_pairs,
     _monotone_position_scan,
     discrete_frechet,
@@ -56,38 +55,10 @@ def knife_edge_radii(p: Curve, q: Curve) -> list:
     return [r for r in radii if r >= 0.0]
 
 
-def test_kernel_matches_row_windows_bit_for_bit():
-    rng = np.random.default_rng(60)
-    for d in (1, 2, 3):
-        P = rng.normal(size=(9, d))
-        Q = rng.normal(size=(7, d))
-        Q[3] = Q[2]  # a zero-length edge
-        P[5] = P[4]
-        cols = [Q[None, :, u] for u in range(d)]
-        rows = [P[:, u, None] for u in range(d)]
-        for r in (0.0, 0.3, 1.0, 5.0):
-            # points of P against the edges of Q, one row per point
-            lo, hi = _ball_windows([c[:, :-1] for c in cols],
-                                   [c[:, 1:] - c[:, :-1] for c in cols], rows, r)
-            for i in range(len(P)):
-                want = _ball_windows_rows(Q[:-1] - P[i], Q[1:] - Q[:-1], r)
-                np.testing.assert_array_equal(lo[i], want[0])
-                np.testing.assert_array_equal(hi[i], want[1])
-            # edges of P against the points of Q, one row per edge
-            lo, hi = _ball_windows([c[:-1] for c in rows],
-                                   [c[1:] - c[:-1] for c in rows], cols, r)
-            for i in range(len(P) - 1):
-                want = _ball_windows_rows(
-                    P[i] - Q, np.broadcast_to(P[i + 1] - P[i], Q.shape), r)
-                np.testing.assert_array_equal(lo[i], want[0])
-                np.testing.assert_array_equal(hi[i], want[1])
-
-
 def kernel_window(start, end, point, r: float) -> tuple[float, float]:
-    """One window from the block kernel, on arrays of one element."""
-    lo, hi = _ball_windows([np.array([s]) for s in start],
-                           [np.array([e - s]) for s, e in zip(start, end)],
-                           [np.array([x]) for x in point], r)
+    """One window from the row window kernel, on a single row."""
+    start, end, point = (np.array([v], dtype=np.float64) for v in (start, end, point))
+    lo, hi = _ball_windows_rows(start - point, end - start, r)
     return float(lo[0]), float(hi[0])
 
 
@@ -298,9 +269,9 @@ def test_property_scalar_window_equals_the_kernel(case):
 
 
 # ---------------------------------------------------------------------------
-# The band-limited windows of decide_continuous: each row's windows cover
-# only a range of columns around the reachable band, computed again wider
-# when a row needs more. The verdicts must equal the full sweep's.
+# Long pairs with a thin reachable band: decide_continuous computes only the
+# windows of the cells its sweep reaches. The verdicts must equal the full
+# sweep's.
 
 
 def band_radii(p: Curve, q: Curve) -> list:
@@ -319,20 +290,6 @@ def long_pair(rng, m: int, length: float, edge: float, amp: float = 0.2):
     twin = perturbed_copy(rng, Curve(1, base), 1, amp).vertices.copy()
     twin[[0, -1]] = base[[0, -1]]
     return densify(Curve(0, base), edge), densify(Curve(1, twin), 1.1 * edge)
-
-
-def record_band_calls(monkeypatch) -> list:
-    """Record each block of band windows decide_continuous computes, as
-    (first row, end row, range starts, range width)."""
-    calls = []
-    real = frechet._band_windows
-
-    def recording(p, q, i0, i1, starts, w, r):
-        calls.append((i0, i1, starts.tolist(), w))
-        return real(p, q, i0, i1, starts, w, r)
-
-    monkeypatch.setattr(frechet, "_band_windows", recording)
-    return calls
 
 
 def test_band_on_densified_long_pairs():
@@ -356,21 +313,20 @@ def test_band_when_one_curve_is_much_longer():
 
 
 def test_band_windows_stay_a_fraction_of_the_grid(monkeypatch):
-    # A thin band: every window the kernel returns is counted, and the sum
-    # must stay far below the two windows per cell of a full-width sweep.
+    # A thin band: every window one decision computes is counted, and the
+    # sum must stay far below the two windows per cell of a full sweep.
     p, q = long_pair(np.random.default_rng(72), 40, 30.0, 0.1)
     r = discrete_frechet(p, q) * (1.0 + 1e-9)
-    sizes = []
-    real = frechet._ball_windows
+    calls = []
+    real = frechet._ball_window
 
-    def counting(starts, deltas, points, r):
-        lo, hi = real(starts, deltas, points, r)
-        sizes.append(lo.size)
-        return lo, hi
+    def counting(*args):
+        calls.append(1)
+        return real(*args)
 
-    monkeypatch.setattr(frechet, "_ball_windows", counting)
+    monkeypatch.setattr(frechet, "_ball_window", counting)
     assert decide_continuous(p, q, r)
-    assert sum(sizes) <= 0.3 * 2 * len(p) * len(q), (sum(sizes), len(p), len(q))
+    assert len(calls) <= 0.05 * 2 * len(p) * len(q), (len(calls), len(p), len(q))
 
 
 def lingering(rng, at, count: int, spread: float) -> np.ndarray:
@@ -381,78 +337,60 @@ def lingering(rng, at, count: int, spread: float) -> np.ndarray:
     return at + offs
 
 
-def test_widening_when_the_band_drifts(monkeypatch):
-    # the band of a long near-duplicate pair wanders off the range's slope,
-    # so some row inside a block needs columns its range lacks
-    calls = record_band_calls(monkeypatch)
+def test_band_that_drifts_off_the_diagonal():
+    # the band of a long near-duplicate pair wanders off the corner-to-corner
+    # slope
     p, q = long_pair(np.random.default_rng(73), 30, 30.0, 0.1)
-    n = min(len(p), len(q))
     for r in band_radii(p, q):
-        del calls[:]
         assert decide_continuous(p, q, r) == decide_continuous_full(p, q, r), r
-    assert any(i0 % frechet._BLOCK and s[0] > 0 and s[0] + w < n - 1
-               for i0, _, s, w in calls)
 
 
-def test_left_boundary_reachable_past_the_first_block(monkeypatch):
-    # p waits near q's first vertex for more than one block of rows: the
-    # left boundary stays reachable, so the second block's ranges start at
-    # column 0
+def test_left_boundary_reachable_for_many_rows():
+    # p waits near q's first vertex for 84 vertices: the left boundary stays
+    # reachable for many rows
     rng = np.random.default_rng(74)
     q = densify(random_walk_curve(rng, 1, 12, 2), 0.3)
-    wait = lingering(rng, q.vertices[0], frechet._BLOCK + 20, 0.2)
+    wait = lingering(rng, q.vertices[0], 84, 0.2)
     p = Curve(0, np.vstack([wait, q.vertices[1:]]))
-    calls = record_band_calls(monkeypatch)
     for r in band_radii(p, q) + [0.25]:
-        del calls[:]
         assert decide_continuous(p, q, r) == decide_continuous_full(p, q, r), r
     assert decide_continuous(p, q, 0.25)
-    assert any(i0 == frechet._BLOCK and not any(s) for i0, _, s, _ in calls)
 
 
-def test_right_boundary_reached_inside_a_block(monkeypatch):
+def test_right_boundary_reached_across_a_long_row():
     # q waits near its last vertex for 60 vertices; once p arrives there a
-    # row runs across all of them to the right boundary, past its range
+    # row runs across all of them to the right boundary
     rng = np.random.default_rng(75)
     base = densify(random_walk_curve(rng, 0, 16, 2), 0.3).vertices
     wait = lingering(rng, base[-1], 60, 0.2)
     q = Curve(1, np.vstack([base, wait, base[-1:]]))
     p = densify(Curve(0, base), 0.05)
-    n = len(q)
-    assert len(p) > n
-    calls = record_band_calls(monkeypatch)
+    assert len(p) > len(q)
     for r in band_radii(p, q) + [0.25]:
-        del calls[:]
         near = decide_continuous(p, q, r)
         assert near == decide_continuous_full(p, q, r), r
     assert near
-    assert any(i0 % frechet._BLOCK and s[0] + w == n - 1 and s0 + w0 < n - 1
-               for (_, _, (s0, *_), w0), (i0, _, s, w) in zip(calls, calls[1:]))
 
 
-def test_bottom_line_prefix_wider_than_the_first_range(monkeypatch):
+def test_long_bottom_line_prefix():
     # q waits near its first vertex for 60 vertices, all within r of p's
-    # first vertex: the bottom line's reachable prefix runs past the first
-    # range, which is computed again wider
+    # first vertex: the bottom line's reachable prefix runs across all of
+    # them
     rng = np.random.default_rng(76)
     base = densify(random_walk_curve(rng, 0, 16, 2), 0.3).vertices
     wait = lingering(rng, base[0], 60, 0.2)
     q = Curve(1, np.vstack([base[:1], wait, base]))
     p = densify(Curve(0, base), 0.05)
     assert len(p) > len(q)
-    calls = record_band_calls(monkeypatch)
     for r in band_radii(p, q) + [0.25]:
-        del calls[:]
         assert decide_continuous(p, q, r) == decide_continuous_full(p, q, r), r
-    widths = [w for i0, _, _, w in calls if i0 == -1]
-    assert len(widths) >= 2 and widths[-1] > widths[0]
 
 
 def test_walk_corpus_verdicts_unchanged():
     # 3,000 pairs of 2-d walks of 2-11 vertices at r = their discrete
     # distance. The windows are not closed at the vertices (ROADMAP item 1),
-    # so some answers are a wrong Far; the band-limited windows move none of
-    # them: the Far counts stay 675, 234 and 340.
+    # so some answers are a wrong Far; computing only the windows the sweep
+    # reaches moves none of them: the Far counts stay 675, 234 and 340.
     rng = np.random.default_rng(9)
     pairs = []
     for _ in range(3000):
@@ -493,12 +431,11 @@ def test_property_band_on_long_walks(case):
     assert decide_continuous(p, q, r) == decide_continuous_full(p, q, r)
 
 
-def test_final_line_walk_past_the_last_range(monkeypatch):
+def test_final_line_walk_past_the_last_entry():
     # A 1-d pair found by search. At r = its discrete distance, the distance
     # of p's last vertex to q[19], the last row's propagation stops at q[19]
     # by rounding while the final line's windows stay open, so the walk to
-    # the corner runs past the last row's range and the rest of the line is
-    # computed.
+    # the corner runs on past the final line's last entry.
     p = curve1(0, [
         2.9347213020657295, 1.9195420874710085, 2.545100207311376, 3.0461055312550926,
         4.9800643048891935, 5.709239655086185, 4.199914467286552, 4.859440081502035,
@@ -519,24 +456,6 @@ def test_final_line_walk_past_the_last_range(monkeypatch):
         2.496572697742674, 4.39335231826266, 3.010879994562859, 1.350797279728936,
         -0.9132716559996661, -0.6275725686490814, -0.416403214548831, 0.9003749618352099,
         0.7740464076699016, 1.338444433754185])
-    outside = []
-    in_band = []
-    band, kernel = frechet._band_windows, frechet._ball_windows
-
-    def band_counting(*args):
-        in_band.append(1)
-        try:
-            return band(*args)
-        finally:
-            in_band.pop()
-
-    def kernel_counting(*args):
-        outside.append(not in_band)
-        return kernel(*args)
-
-    monkeypatch.setattr(frechet, "_band_windows", band_counting)
-    monkeypatch.setattr(frechet, "_ball_windows", kernel_counting)
     r = discrete_frechet(p, q)
     assert decide_continuous(p, q, r)
     assert decide_continuous_full(p, q, r)
-    assert any(outside)

@@ -15,7 +15,6 @@ from curvejoin import (
     Curve,
     Dataset,
     ParseError,
-    bounding_box,
     densify,
     longest_edge,
     parse_series_1d,
@@ -84,10 +83,9 @@ class TestDataset:
 
 class TestGeometryHelpers:
     def test_bounding_box(self):
+        # the lower corner, then the upper corner
         c = curve(0, [[0.0, 5.0], [-1.0, 2.0], [3.0, 3.0]])
-        b = bounding_box(c)
-        assert b.lower.tolist() == [-1.0, 2.0]
-        assert b.upper.tolist() == [3.0, 5.0]
+        assert c._corners == (-1.0, 2.0, 3.0, 5.0)
 
     def test_longest_edge(self):
         # edges: 3-4-5 triangle leg (5.0) then a unit step

@@ -334,8 +334,9 @@ class TestSimpleFilters:
             W[:, u] += 0.75
             cases.append((Curve(0, V), Curve(1, W)))
         for p, q in cases:
-            gaps = np.abs(np.concatenate((p._box.lower - q._box.lower,
-                                          p._box.upper - q._box.upper)))
+            P, Q = p.vertices, q.vertices
+            gaps = np.abs(np.concatenate((P.min(axis=0) - Q.min(axis=0),
+                                          P.max(axis=0) - Q.max(axis=0))))
             for gap in gaps.tolist():
                 for r in (gap, math.nextafter(gap, 0.0), math.nextafter(gap, math.inf)):
                     want = Verdict.FAR if bbox_far_arrays(p, q, r) else Verdict.UNKNOWN

@@ -1,8 +1,7 @@
 """The prepared view of a curve against the per-call computations it
 replaces, bit for bit: float vertices, edge deltas and squared lengths,
-the bounding box, its corners as floats and the coordinate columns
-(equal_time_upper's inline points are checked against the array oracle
-in test_frechet). simplify returns the curve itself exactly when it drops
+and the bounding box's corners as floats (equal_time_upper's inline
+points are checked against the array oracle in test_frechet). simplify returns the curve itself exactly when it drops
 no vertex, no caller can change a prepared view, and verify's outcomes do
 not depend on which earlier call prepared a curve."""
 
@@ -11,7 +10,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from curvejoin import Curve, bounding_box, simplify, verify
+from curvejoin import Curve, simplify, verify
 from curvejoin.frechet import SimplifiedCopies
 
 from helpers import acceptance_corpus, random_walk_curve, walk_families
@@ -57,19 +56,7 @@ def test_view_equals_the_per_call_computation(c):
         assert bits(delta) == bits(want)
         assert aa.hex() == want_aa.hex()
 
-    box = bounding_box(c)
-    assert box.lower.tobytes() == V.min(axis=0).tobytes()
-    assert box.upper.tobytes() == V.max(axis=0).tobytes()
     assert bits(c._corners) == bits(V.min(axis=0).tolist() + V.max(axis=0).tolist())
-
-    cols, col_deltas = c._columns
-    for u in range(c.dim):
-        col = np.ascontiguousarray(V[:, u])
-        assert cols[u].flags.c_contiguous
-        assert cols[u].tobytes() == col.tobytes()
-        assert col_deltas[u].tobytes() == (col[1:] - col[:-1]).tobytes()
-        # decide_continuous's array deltas equal the scan's float deltas
-        assert bits(col_deltas[u].tolist()) == bits([dl[u] for dl in deltas])
 
 
 def test_simplify_returns_the_curve_exactly_when_it_drops_nothing():
@@ -156,17 +143,8 @@ def test_the_view_cannot_be_changed():
     pairs = [(data[i], data[j]) for i in range(data.n) for j in range(i + 1, data.n)]
     before = [outcome(verify(p, q, 1.0)) for p, q in pairs]
     c = data[0]
-    box = bounding_box(c)
-    with pytest.raises(ValueError):
-        box.lower[0] = 1e9
-    with pytest.raises(ValueError):
-        box.upper[...] = -1e9
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        box.lower = np.zeros(2)
-    for arr in c._columns[0] + c._columns[1]:
-        with pytest.raises(ValueError):
-            arr[0] = 1e9
-    for name in ("_points", "_edges", "_box", "_corners", "_columns"):
+    corners = c._corners
+    for name in ("_points", "_edges", "_corners"):
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(c, name, None)
     with pytest.raises(TypeError):
@@ -175,5 +153,5 @@ def test_the_view_cannot_be_changed():
         c._edges[0][0][0] = 1e9
     with pytest.raises(TypeError):
         c._corners[0] = 1e9
-    assert bounding_box(c) is box
+    assert c._corners is corners
     assert [outcome(verify(p, q, 1.0)) for p, q in pairs] == before
