@@ -34,6 +34,17 @@ tuples) and each cache is bounded: a caller can neither change a value
 another caller reads nor grow the process without limit. A cache stores
 no exception, so a bad radius or eps raises on every call.
 
+On fixed curves, verify_heur's verdict is monotone in the radius: every
+window end, vertex distance and traversal maximum rounds monotonically in
+r, so a pair Near at some radius is Near at every larger one. verify uses
+this where checks repeat on the same curves. A simplification level after
+the first whose copies are the curves themselves, and every level after it
+(a smaller budget drops no more vertices), check the curves themselves at
+r_minus and r_plus, and the final check does so at r. verify decides them
+together (_verify_tail): the final check runs first, and a level's check
+runs only when no radius already known Near or Far answers it. The
+verdict and the stage are those of the level-by-level cascade.
+
 All comparisons against the radius are exact floating-point comparisons;
 a pair at distance exactly r counts as Near. Every function here is a
 pure function of its inputs.
@@ -147,9 +158,11 @@ def discrete_frechet(p: Curve, q: Curve) -> float:
 # Continuous Frechet decision (free-space diagram reachability)
 
 
+@lru_cache(maxsize=8)
 def _minor_pairs(d: int) -> tuple[tuple[int, int], ...]:
     """The coordinate pairs (u, v), u < v, of the 2x2 minors in the order
-    _ball_window sums them; a decision or a scan builds them once."""
+    _ball_window sums them, built once per dimension d and shared: the
+    tuple is immutable, and a decision or a scan reads it once."""
     return tuple((u, v) for u in range(d) for v in range(u + 1, d))
 
 
@@ -682,6 +695,44 @@ def verify_simpl(
 DEFAULT_EPS_LIST = (10.0, 1.0, 0.1)
 
 
+def _verify_tail(p: Curve, q: Curve, r: float,
+                 eps_list: tuple[float, ...]) -> VerificationOutcome:
+    """The levels of eps_list and the final check, for a pair whose copies
+    at every one of these levels are the curves themselves: the outcome that
+    verify_simpl at each level in turn and then verify_heur(p, q, r) give.
+
+    Every check then runs verify_heur on p and q, at r_minus, r_plus or r,
+    and its verdict is monotone in the radius: each window end, vertex
+    distance and traversal maximum rounds monotonically in r, so a radius
+    at or above a Near radius is Near and one at or below a Far radius is
+    Far. The final check runs first. The smallest radius known Near and the
+    largest known Far then answer every check at or beyond them by
+    comparison, and verify_heur runs only for the others, in cascade order.
+    """
+    final = verify_heur(p, q, r)
+    near_from, far_to = (r, -math.inf) if final.verdict is Verdict.NEAR else (math.inf, r)
+
+    def is_near(x: float) -> bool:
+        nonlocal near_from, far_to
+        if x >= near_from:
+            return True
+        if x <= far_to:
+            return False
+        if verify_heur(p, q, x).verdict is Verdict.NEAR:
+            near_from = x
+            return True
+        far_to = x
+        return False
+
+    for eps in eps_list:
+        par, far, near, _ = _simpl_level(r, eps)
+        if not is_near(par.r_minus):
+            return far
+        if is_near(par.r_plus):
+            return near
+    return final
+
+
 def verify(
     p: Curve,
     q: Curve,
@@ -692,7 +743,15 @@ def verify(
     """The full decision cascade: endpoints, bounding boxes, simplified
     checks from coarsest to finest, then the heuristics with exact
     fallback. Always returns Near or Far. With `copies`, both curves'
-    simplified copies are read from that store (see SimplifiedCopies)."""
+    simplified copies are read from that store (see SimplifiedCopies).
+
+    The first level always runs verify_simpl. A later level whose coarse
+    copies (budget mu_minus) are both curves themselves starts a tail: every
+    later copy is the curve too, since a smaller budget drops no more
+    vertices. The tail's checks and the final check all run verify_heur on
+    p and q, whose verdict is monotone in the radius, so _verify_tail
+    decides them together from the fewest runs, with the verdict and the
+    stage the level-by-level cascade gives."""
     _check_radius(r)
     check_eps_list(eps_list)
     out = endpoints_filter(p, q, r)
@@ -702,7 +761,12 @@ def verify(
     if out.verdict is not Verdict.UNKNOWN:
         return out
     if r > 0:
-        for eps in eps_list:
+        copy = simplify if copies is None else copies.get
+        for k, eps in enumerate(eps_list):
+            if k:
+                mu = _simpl_level(r, eps)[0].mu_minus
+                if copy(p, mu) is p and copy(q, mu) is q:
+                    return _verify_tail(p, q, r, eps_list[k:])
             out = verify_simpl(p, q, r, eps, copies)
             if out.verdict is not Verdict.UNKNOWN:
                 return out

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from collections import Counter
 
 import numpy as np
 
@@ -14,13 +15,14 @@ from curvejoin import (
     ScoredCandidate,
     Verdict,
     build_index,
+    densify,
     discrete_frechet,
     metrics,
     range_query,
     snap_signature,
     verify,
 )
-from curvejoin import lsh
+from curvejoin import frechet, lsh
 from curvejoin.curves import _FIELD_SPLIT, ParseError, _parse_floats
 from curvejoin.frechet import DEFAULT_EPS_LIST
 
@@ -109,6 +111,18 @@ def _eval(V: np.ndarray, u: float) -> np.ndarray:
     if len(V) == 1:
         return V[0]
     return V[i0] + frac * (V[i0 + 1] - V[i0])
+
+
+def densified_twins(rng, m: int = 12, length: float = 10.0, amp: float = 0.2,
+                    edge: float = 0.1) -> tuple[Curve, Curve]:
+    """A 2-d walk of arc length `length` and a copy moved by up to amp with
+    the same endpoints, densified to edges of at most edge and 1.1 * edge:
+    about length / edge vertices each."""
+    base = random_walk_curve(rng, 0, m, 2)
+    v = base.vertices * (length / np.linalg.norm(np.diff(base.vertices, axis=0), axis=1).sum())
+    w = perturbed_copy(rng, Curve(0, v), 1, amp).vertices.copy()
+    w[[0, -1]] = v[[0, -1]]
+    return densify(Curve(0, v), edge), densify(Curve(1, w), 1.1 * edge)
 
 
 def dataset_of(curves) -> Dataset:
@@ -315,6 +329,32 @@ def count_snaps(monkeypatch) -> list[int]:
 
     monkeypatch.setattr(lsh, "snap_signature", counting)
     return snapped
+
+
+def count_cascade_calls(monkeypatch) -> Counter:
+    """Patch decide_continuous, simplify, verify_heur and verify_simpl where
+    curvejoin.frechet looks them up, as the benchmark's trace does, to count
+    their calls by name. "outside verify_simpl" counts the verify_heur
+    calls that no verify_simpl call made. Returns the counter."""
+    counts: Counter = Counter()
+    depth = [0]
+
+    def counted(name, fn):
+        def call(*args, **kwargs):
+            counts[name] += 1
+            if name == "verify_heur" and not depth[0]:
+                counts["outside verify_simpl"] += 1
+            nested = name == "verify_simpl"
+            depth[0] += nested
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                depth[0] -= nested
+        return call
+
+    for name in ("decide_continuous", "simplify", "verify_heur", "verify_simpl"):
+        monkeypatch.setattr(frechet, name, counted(name, getattr(frechet, name)))
+    return counts
 
 
 def table_keys_per_curve(params, grids, p: Curve) -> np.ndarray:
@@ -685,6 +725,30 @@ def equal_time_max_arrays(p: Curve, q: Curve) -> tuple[float, list]:
     diff = _curve_at(P, u_p) - _curve_at(Q, u_q)
     dmax = float(np.sqrt((diff * diff).sum(axis=1)).max())
     return dmax, list(zip(u_p.tolist(), u_q.tolist()))
+
+
+# ---------------------------------------------------------------------------
+# Oracle for curvejoin.frechet.verify: the cascade that runs every
+# simplification level through verify_simpl, one level after the other, and
+# then the final verify_heur. The steps are looked up on the module, so a
+# test that counts calls there counts this cascade's calls too.
+
+
+def verify_ladder(p: Curve, q: Curve, r: float, eps_list=DEFAULT_EPS_LIST, copies=None):
+    frechet._check_radius(r)
+    frechet.check_eps_list(eps_list)
+    out = frechet.endpoints_filter(p, q, r)
+    if out.verdict is not Verdict.UNKNOWN:
+        return out
+    out = frechet.bbox_filter(p, q, r)
+    if out.verdict is not Verdict.UNKNOWN:
+        return out
+    if r > 0:
+        for eps in eps_list:
+            out = frechet.verify_simpl(p, q, r, eps, copies)
+            if out.verdict is not Verdict.UNKNOWN:
+                return out
+    return frechet.verify_heur(p, q, r)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import pytest
 from curvejoin import (
     Curve,
     SimplVerifyParams,
+    SimplifiedCopies,
     Verdict,
     VerificationOutcome,
     bbox_filter,
@@ -26,17 +27,23 @@ from curvejoin import (
 )
 from curvejoin import frechet
 from curvejoin.curves import _dist
+from curvejoin.frechet import DEFAULT_EPS_LIST
 from helpers import (
+    acceptance_corpus,
     assert_valid_witness,
     bbox_far_arrays,
+    count_cascade_calls,
     curve,
     curve1,
+    densified_twins,
     discrete_frechet_brute,
     equal_time_max_arrays,
     equal_time_walk_dists,
     greedy_traversal,
     random_pair,
     random_walk_curve,
+    verify_ladder,
+    walk_families,
 )
 
 
@@ -731,6 +738,134 @@ class TestVerifyCascade:
         assert "strictly decreasing" in texts[4] and "finite" in texts[0]
 
 
+def _ulps(x: float) -> tuple[float, float, float]:
+    return math.nextafter(x, 0.0), x, math.nextafter(x, math.inf)
+
+
+def _knife_edges(xs, eps_list) -> list[float]:
+    """Each x, and the radii whose level checks land on x: x / (1 + eps/14)
+    has r_minus about x and x / (3(1 + eps/14) / (3 + eps)) has r_plus about
+    x; each one ulp either side too."""
+    out = []
+    for x in xs:
+        out += _ulps(x)
+        for eps in eps_list:
+            out += _ulps(x / (1.0 + eps / 14.0))
+            out += _ulps(x / (3.0 * (1.0 + eps / 14.0) / (3.0 + eps)))
+    return out
+
+
+def _tail_levels(p: Curve, q: Curve, r: float, eps_list) -> int:
+    """How many levels the tail holds: from the first level after the first
+    whose coarse copies are both curves themselves to the end of eps_list;
+    0 if no level starts a tail."""
+    for k in range(1, len(eps_list)):
+        mu = SimplVerifyParams.for_radius(r, eps_list[k]).mu_minus
+        if simplify(p, mu) is p and simplify(q, mu) is q:
+            return len(eps_list) - k
+    return 0
+
+
+class TestVerifyTail:
+    """verify decides the levels whose copies are the curves, and the final
+    check, together (_verify_tail); verify_ladder in helpers is the
+    level-by-level cascade it must equal."""
+
+    EPS_LISTS = ((10.0, 1.0, 0.1), (10.0, 1e-15, 1e-16), (0.5,), (3.0, 1.0, 0.01, 1e-14))
+
+    def _assert_same(self, p: Curve, q: Curve, radii, eps_list) -> None:
+        # each case without a store, then with one store per cascade
+        for new, old in ((None, None), (SimplifiedCopies(), SimplifiedCopies())):
+            for r in radii:
+                assert verify(p, q, r, eps_list, new) == verify_ladder(p, q, r, eps_list, old), \
+                    (p.id, q.id, r, eps_list)
+
+    def test_acceptance_corpus_equals_the_ladder(self):
+        for i, (p, q, r, ddf) in enumerate(acceptance_corpus()):
+            self._assert_same(p, q, _ulps(r) + _ulps(ddf), self.EPS_LISTS[i % 4])
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_walk_families_equal_the_ladder_at_level_knife_edges(self, d):
+        rng = np.random.default_rng(90 + d)
+        data = walk_families(rng, 2, d, m=6)
+        k = 0
+        for f in range(2):
+            fam = [data[5 * f + a] for a in range(5)]
+            for a in range(5):
+                for b in range(a + 1, 5):
+                    p, q = fam[a], fam[b]
+                    dists = [_dist(u, v) for u in p._points for v in q._points]
+                    xs = [discrete_frechet(p, q)] + rng.choice(dists, 2, replace=False).tolist()
+                    eps_list = self.EPS_LISTS[k % 4]
+                    self._assert_same(p, q, _knife_edges(xs, eps_list), eps_list)
+                    k += 1
+
+    def test_single_vertex_curves_equal_the_ladder(self):
+        rng = np.random.default_rng(94)
+        for d in (1, 2, 3):
+            dot = Curve(0, rng.normal(size=(1, d)))
+            other = Curve(1, rng.normal(size=(1, d)))
+            walk = random_walk_curve(rng, 2, 5, d, step=0.3, start=dot.vertices[0])
+            for p, q in ((dot, other), (dot, walk), (walk, dot)):
+                xs = [_dist(u, v) for u in p._points for v in q._points]
+                for eps_list in self.EPS_LISTS:
+                    self._assert_same(p, q, _knife_edges(xs, eps_list), eps_list)
+
+    def test_densified_near_duplicates_equal_the_ladder(self):
+        p, q = densified_twins(np.random.default_rng(5))
+        assert min(len(p), len(q)) > 90
+        ddf = discrete_frechet(p, q)
+        for eps_list in self.EPS_LISTS:
+            self._assert_same(p, q, _knife_edges([ddf], eps_list), eps_list)
+
+    @pytest.mark.parametrize("r, eps_list", [
+        (1e308, DEFAULT_EPS_LIST), (1.75e308, (1.0,)), (1.75e308, (1.0, 0.1)),
+        (math.nan, DEFAULT_EPS_LIST), (math.inf, DEFAULT_EPS_LIST), (-1.0, DEFAULT_EPS_LIST),
+        (1.0, ()), (1.0, (1.0, 1.0)), (1.0, (0.1, 10.0)), (1.0, (1.0, math.nan)),
+        (1.0, (10.0, 0.0)), (math.nan, ()),
+    ])
+    def test_bad_values_raise_as_the_ladder_does(self, r, eps_list):
+        c = curve1(0, [0.0, 1.0, 0.0])
+        with pytest.raises(ValueError) as new:
+            verify(c, c, r, eps_list)
+        with pytest.raises(ValueError) as old:
+            verify_ladder(c, c, r, eps_list)
+        assert str(new.value) == str(old.value)
+
+    def test_a_near_duplicate_pair_repeats_fewer_decisions(self, monkeypatch):
+        p, q = densified_twins(np.random.default_rng(5))
+        r = discrete_frechet(p, q) * (1.0 + 1e-9)
+        counts = count_cascade_calls(monkeypatch)
+        new = verify(p, q, r)
+        tail = counts.copy()
+        counts.clear()
+        assert new == verify_ladder(p, q, r)
+        assert tail["verify_simpl"] == 1
+        assert tail["decide_continuous"] < counts["decide_continuous"]
+        assert tail["simplify"] < counts["simplify"]
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_a_tail_runs_at_most_one_check_per_level_and_the_final_one(self, monkeypatch, d):
+        data = walk_families(np.random.default_rng(95 + d), 3, d)
+        counts = count_cascade_calls(monkeypatch)
+        tails = fewer = 0
+        for i in range(data.n):
+            for j in range(i + 1, 5 * (i // 5) + 5):
+                p, q = data[i], data[j]
+                for r in (1.0, discrete_frechet(p, q)):
+                    levels = _tail_levels(p, q, r, DEFAULT_EPS_LIST)
+                    counts.clear()
+                    new = verify(p, q, r)
+                    got = counts.copy()
+                    counts.clear()
+                    assert new == verify_ladder(p, q, r)
+                    assert got["outside verify_simpl"] <= 1 + levels
+                    assert got["verify_heur"] <= counts["verify_heur"] + 1
+                    tails += levels > 0
+                    fewer += got["verify_heur"] < counts["verify_heur"]
+        assert tails and fewer
+
+
 class TestMetricProperties:
     def test_discrete_triangle_inequality(self):
         rng = np.random.default_rng(99)
@@ -751,7 +886,9 @@ class TestMetricProperties:
         # rounds monotonically, so for fixed curves a step that is not Far
         # at r is not Far at any larger R: at knife-edge radii (each
         # vertex-vertex distance and the discrete distance, 3 ulps either
-        # side), the Far verdicts form a prefix of the sorted radii
+        # side) and at each level's r_minus and r_plus of those radii, which
+        # verify's tail compares, the Far verdicts form a prefix of the
+        # sorted radii
         def ulps(x, k=3):
             lo = hi = x
             out = [x]
@@ -770,7 +907,10 @@ class TestMetricProperties:
             p, q = random_pair(rng, 1 + i % 3, m_max=5)
             diff = p.vertices[:, None, :] - q.vertices[None, :, :]
             base = np.sqrt((diff * diff).sum(axis=2)).ravel().tolist()
-            radii = sorted({x for b in base + [discrete_frechet(p, q)] for x in ulps(b)})
+            edges = {x for b in base + [discrete_frechet(p, q)] for x in ulps(b)}
+            levels = [SimplVerifyParams.for_radius(x, eps) for x in edges if x > 0
+                      for eps in DEFAULT_EPS_LIST]
+            radii = sorted(edges.union(*((par.r_minus, par.r_plus) for par in levels)))
             for k, far in enumerate(steps):
                 fars = [far(p, q, r) for r in radii]
                 assert fars == sorted(fars, reverse=True), (i, k)
