@@ -59,12 +59,14 @@ def check_positive(name: str, x: float, allow_zero: bool = False) -> float:
     return x
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Curve:
     """An immutable polygonal curve: id plus an (m, d) vertex array.
 
     Consecutive duplicate vertices are allowed; they change neither the
-    discrete nor the continuous Frechet distance.
+    discrete nor the continuous Frechet distance. A curve compares and
+    hashes by identity: two curves with the same id and vertices are
+    distinct keys.
     """
 
     id: int

@@ -25,14 +25,19 @@ result keeps its bits.
 
 What a step's inputs fix is built once, not on every call. The outcomes
 of the fixed stages (endpoints, bbox, equal-time, greedy, negative-filter,
-full-verify) are module constants; each (r, eps) simplification level
-builds its budgets, its stage name and its three outcomes on first use;
-the equal-time walk's breakpoint table is built once per pair of edge
-counts (mp, mq); and each curve's bounding box is kept as floats. Sharing
-is safe because every shared value is immutable (frozen dataclasses and
-tuples) and each cache is bounded: a caller can neither change a value
-another caller reads nor grow the process without limit. A cache stores
-no exception, so a bad radius or eps raises on every call.
+full-verify) are module constants; each (r, eps) simplification level is
+one value, its budgets and its three outcomes, built on first use
+(_simpl_level); the equal-time walk's breakpoint table is built once per
+pair of edge counts (mp, mq); and each curve's bounding box is kept as
+floats. Sharing is safe because every shared value is immutable (frozen
+dataclasses and tuples) and each cache is bounded: a caller can neither
+change a value another caller reads nor grow the process without limit.
+A cache stores no exception, so a bad radius or eps raises on every call.
+
+Simplified copies are read one way: from a SimplifiedCopies store, keyed
+by the curve itself (curves hash by identity) and the budget mu. A join
+passes one store for all its pairs; verify makes one for the call when
+it is given none, so no copy is built twice within a call.
 
 On fixed curves, verify_heur's verdict is monotone in the radius: every
 window end, vertex distance and traversal maximum rounds monotonically in
@@ -61,7 +66,6 @@ from operator import sub
 from .curves import Curve, _dist, _dists, check_positive, simplify
 
 __all__ = [
-    "SimplVerifyParams",
     "SimplifiedCopies",
     "Verdict",
     "VerificationOutcome",
@@ -158,16 +162,7 @@ def discrete_frechet(p: Curve, q: Curve) -> float:
 # Continuous Frechet decision (free-space diagram reachability)
 
 
-@lru_cache(maxsize=8)
-def _minor_pairs(d: int) -> tuple[tuple[int, int], ...]:
-    """The coordinate pairs (u, v), u < v, of the 2x2 minors in the order
-    _ball_window sums them, built once per dimension d and shared: the
-    tuple is immutable, and a decision or a scan reads it once."""
-    return tuple((u, v) for u in range(d) for v in range(u + 1, d))
-
-
-def _ball_window(start, delta, aa: float, point, rr: float,
-                 pairs: tuple[tuple[int, int], ...]) -> tuple[float, float]:
+def _ball_window(start, delta, aa: float, point, rr: float) -> tuple[float, float]:
     """The window of one edge within r of one point: the t in [0, 1] with
     ||start + t*delta - point|| <= r, as (lo, hi); an empty window is
     (inf, -inf). This is the library's only window arithmetic: the free-space
@@ -175,11 +170,12 @@ def _ball_window(start, delta, aa: float, point, rr: float,
 
     The edge is its start, its delta (end - start) and its squared length
     aa, the point a float sequence; a curve's prepared edges supply delta
-    and aa. rr is r * r and pairs is _minor_pairs(d), both computed once per
-    decision or scan. The discriminant is r^2*||delta||^2 minus the squared
-    rejection of w = start - point, a sum of squared 2x2 minors; the naive
-    b^2 - 4ac form cancels catastrophically when w is nearly parallel to
-    delta and r is small. Sums run over the coordinates in order.
+    and aa. rr is r * r, computed once per decision or scan. The
+    discriminant is r^2*||delta||^2 minus the squared rejection of
+    w = start - point, a sum of squared 2x2 minors; the naive b^2 - 4ac
+    form cancels catastrophically when w is nearly parallel to delta and r
+    is small. Sums run over the coordinates in order, the minors over the
+    pairs (u, v), u < v, in lexicographic order.
 
     Two coordinates take the loops unrolled, in the same order: the one
     minor's square is never -0.0, so it equals the loop's 0.0 + minor^2."""
@@ -205,9 +201,10 @@ def _ball_window(start, delta, aa: float, point, rr: float,
         for u in range(1, len(w)):
             wd = wd + w[u] * delta[u]
         gram = 0.0
-        for u, v in pairs:
-            minor = delta[u] * w[v] - delta[v] * w[u]
-            gram = gram + minor * minor
+        for u in range(len(w)):
+            for v in range(u + 1, len(w)):
+                minor = delta[u] * w[v] - delta[v] * w[u]
+                gram = gram + minor * minor
         disc = aa * rr - gram
     if not disc >= 0.0:
         return math.inf, -math.inf
@@ -263,18 +260,18 @@ def decide_continuous(p: Curve, q: Curve, r: float) -> bool:
 
     P, Q = p._points, q._points
     (DP, AP), (DQ, AQ) = p._edges, q._edges
-    rr, pairs = r * r, _minor_pairs(len(P[0]))
+    rr = r * r
     m, n = len(P), len(Q)
 
     # The bottom line (p-parameter = 0) is reachable only as a contiguous
     # prefix of columns 0 .. last.
     last = 0
     if n > 2:
-        hh = _ball_window(Q[0], DQ[0], AQ[0], P[0], rr, pairs)[1]
+        hh = _ball_window(Q[0], DQ[0], AQ[0], P[0], rr)[1]
         for j in range(1, n - 1):
             if hh != 1.0:
                 break
-            hl, hh = _ball_window(Q[j], DQ[j], AQ[j], P[0], rr, pairs)
+            hl, hh = _ball_window(Q[j], DQ[j], AQ[j], P[0], rr)
             if hl != 0.0:
                 break
             last = j
@@ -295,7 +292,7 @@ def decide_continuous(p: Curve, q: Curve, r: float) -> bool:
         # the left boundary stays reachable while each row's window on it
         # spans [0, 1]; row 0 starts at the corner
         if leftline is not None and (i == 0 or vhi0 == 1.0):
-            vlo0, vhi0 = _ball_window(a, da, aa, Q[0], rr, pairs)
+            vlo0, vhi0 = _ball_window(a, da, aa, Q[0], rr)
             if i > 0 and vlo0 != 0.0:
                 leftline = None
         else:
@@ -312,7 +309,7 @@ def decide_continuous(p: Curve, q: Curve, r: float) -> bool:
                 continue
             # the top boundary of cell (i, j): entered from the left anywhere
             # in its window, from below only at bot or later
-            hl, hh = _ball_window(Q[j], DQ[j], AQ[j], above, rr, pairs)
+            hl, hh = _ball_window(Q[j], DQ[j], AQ[j], above, rr)
             if left is None and bot > hl:
                 hl = bot
             if hl <= hh:
@@ -322,7 +319,7 @@ def decide_continuous(p: Curve, q: Curve, r: float) -> bool:
                 nlast = j
             # its right boundary: entered from below anywhere in its window,
             # from the left only at left or later
-            vl, vh = _ball_window(a, da, aa, Q[j + 1], rr, pairs)
+            vl, vh = _ball_window(a, da, aa, Q[j + 1], rr)
             if bot is None and left > vl:
                 vl = left
             left = vl if vl <= vh else None
@@ -333,7 +330,7 @@ def decide_continuous(p: Curve, q: Curve, r: float) -> bool:
         if left is not None:
             rightline, vhi_last = True, vh
         elif rightline and vhi_last == 1.0:
-            vl, vhi_last = _ball_window(a, da, aa, Q[n - 1], rr, pairs)
+            vl, vhi_last = _ball_window(a, da, aa, Q[n - 1], rr)
             rightline = vl == 0.0
         else:
             rightline = False
@@ -353,7 +350,7 @@ def decide_continuous(p: Curve, q: Curve, r: float) -> bool:
             if j > last:
                 break
             continue
-        hl, hh = _ball_window(Q[j], DQ[j], AQ[j], P[m - 1], rr, pairs)
+        hl, hh = _ball_window(Q[j], DQ[j], AQ[j], P[m - 1], rr)
         at_end = (bot is not None or hl == 0.0) and hh == 1.0
     return at_end
 
@@ -425,16 +422,6 @@ def bbox_filter(p: Curve, q: Curve, r: float) -> VerificationOutcome:
     return _BBOX_UNKNOWN
 
 
-def _point_at(V, D, u: float):
-    """The point of a polyline (float vertices V, edge deltas D) at
-    fractional vertex index u: V[i] + (u - i) * D[i] on the edge i holding u."""
-    if len(V) == 1:
-        return V[0]
-    i = min(int(u), len(V) - 2)
-    f = u - i
-    return [a + f * b for a, b in zip(V[i], D[i])]
-
-
 # Breakpoint tables kept. See _equal_time_steps for their memory.
 _STEP_TABLES = 256
 
@@ -444,23 +431,22 @@ def _equal_time_steps(mp: int, mq: int) -> tuple[tuple[int, float, int, float], 
     """The merged breakpoints of two curves of mp and mq >= 1 edges, in
     traversal order, each as (i, f, j, g): the point of p is P[i] + f *
     DP[i] and the point of q is Q[j] + g * DQ[j]. The fractions i/mp and
-    j/mq are merged exactly over the denominator mp * mq.
+    j/mq are merged exactly over the denominator mp * mq. The last
+    breakpoint, both curves' last vertices, is not in the table: the walk
+    reads those vertices themselves, since P[mp - 1] + 1.0 * DP[mp - 1] can
+    miss P[mp] by an ulp. Every entry has k < mp * mq, so i < mp and j < mq.
 
-    Memory: a table has at most mp + mq + 1 entries, each at most about
+    Memory: a table has fewer than mp + mq entries, each at most about
     185 bytes (its 4-tuple, two floats and, past 256, two ints; 85 to 140
     bytes measured). The cache keeps _STEP_TABLES tables, so at worst it
-    holds _STEP_TABLES * 185 * (mp + mq + 1) bytes for the longest pairs
-    it has seen: 3.7 MB if all were 40 x 40 vertices, 29 MB if all were
+    holds _STEP_TABLES * 185 * (mp + mq) bytes for the longest pairs it
+    has seen: 3.7 MB if all were 40 x 40 vertices, 29 MB if all were
     321 x 294.
     """
     steps = []
-    for k in sorted({*range(0, mp * mq + 1, mq), *range(0, mp * mq + 1, mp)}):
+    for k in sorted({*range(0, mp * mq, mq), *range(0, mp * mq, mp)}):
         u_p, u_q = k / mq, k / mp
         i, j = int(u_p), int(u_q)
-        if i == mp:
-            i -= 1
-        if j == mq:
-            j -= 1
         steps.append((i, u_p - i, j, u_q - j))
     return tuple(steps)
 
@@ -470,8 +456,10 @@ def equal_time_upper(p: Curve, q: Curve, r: float) -> VerificationOutcome:
 
     The pair distance is convex between breakpoints of the joint motion,
     so the exact maximum is attained at the union of both curves'
-    normalized breakpoints. The walk stops at the first breakpoint farther
-    than r. Never Far.
+    normalized breakpoints. The walk checks the last vertices first, then
+    the other breakpoints in traversal order, and stops at the first one
+    farther than r. A single vertex stays put while the other curve visits
+    its vertices (_point_curve_within, as in decide_continuous). Never Far.
 
     The breakpoints depend only on the two edge counts, so their table,
     each entry's edges and fractions, is built once per (mp, mq) and kept
@@ -481,16 +469,13 @@ def equal_time_upper(p: Curve, q: Curve, r: float) -> VerificationOutcome:
     """
     _check_pair(p, q, r)
     P, Q = p._points, q._points
+    if len(P) == 1 or len(Q) == 1:
+        a, V = (P[0], Q) if len(P) == 1 else (Q[0], P)
+        return _EQUAL_TIME_NEAR if _point_curve_within(a, V, r) else _EQUAL_TIME_UNKNOWN
+    if not _dist(P[-1], Q[-1]) <= r:
+        return _EQUAL_TIME_UNKNOWN
     DP, DQ = p._edges[0], q._edges[0]
-    mp, mq = len(P) - 1, len(Q) - 1
-    if mp == 0 or mq == 0:
-        # a single vertex stays put while the other curve visits its vertices
-        for k in range(max(mp, mq) + 1):
-            u_p, u_q = float(k) if mp else 0.0, float(k) if mq else 0.0
-            if not _dist(_point_at(P, DP, u_p), _point_at(Q, DQ, u_q)) <= r:
-                return _EQUAL_TIME_UNKNOWN
-        return _EQUAL_TIME_NEAR
-    steps = _equal_time_steps(mp, mq)
+    steps = _equal_time_steps(len(P) - 1, len(Q) - 1)
     if len(P[0]) == 2:
         for i, f, j, g in steps:
             (a0, a1), (da0, da1), (b0, b1), (db0, db1) = P[i], DP[i], Q[j], DQ[j]
@@ -555,7 +540,7 @@ def _monotone_position_scan(a: Curve, b: Curve, r: float) -> bool:
     if nb == 1:
         return _point_curve_within(B[0], A, r)
     D, AA = b._edges
-    rr, pairs = r * r, _minor_pairs(len(B[0]))
+    rr = r * r
     cur = 0.0
     for x in A:
         e = int(cur)
@@ -563,7 +548,7 @@ def _monotone_position_scan(a: Curve, b: Curve, r: float) -> bool:
             e = nb - 2
         # Only the edge holding cur can clip the window at cur; on any later
         # edge e + lo > cur, so a nonempty window matches at e + lo.
-        lo, hi = _ball_window(B[e], D[e], AA[e], x, rr, pairs)
+        lo, hi = _ball_window(B[e], D[e], AA[e], x, rr)
         if lo <= hi:
             start = e + lo
             if start < cur:
@@ -572,7 +557,7 @@ def _monotone_position_scan(a: Curve, b: Curve, r: float) -> bool:
                 cur = start
                 continue
         for e in range(e + 1, nb - 1):
-            lo, hi = _ball_window(B[e], D[e], AA[e], x, rr, pairs)
+            lo, hi = _ball_window(B[e], D[e], AA[e], x, rr)
             if lo <= hi:
                 cur = e + lo
                 break
@@ -605,91 +590,92 @@ def verify_heur(p: Curve, q: Curve, r: float) -> VerificationOutcome:
     return _FULL_NEAR if decide_continuous(p, q, r) else _FULL_FAR
 
 
-@dataclass(frozen=True)
-class SimplVerifyParams:
-    """Error budgets for the simplification pre-check at one radius r and
-    epsilon eps, as for_radius derives them; r and eps are not kept.
-
-    The negative check runs on aggressively simplified curves at the
-    enlarged radius r_minus; the positive check on gently simplified
-    curves at the shrunk radius r_plus. Both checks are sound: the
-    simplification error mu is repaid by the radius adjustment.
-    """
-
-    mu_minus: float
-    mu_plus: float
-    r_minus: float
-    r_plus: float
-
-    @classmethod
-    def for_radius(cls, r: float, eps: float) -> "SimplVerifyParams":
-        check_positive("eps", eps)
-        check_positive("radius", r)
-        mu_minus = r * eps / 28.0
-        mu_plus = r * eps / (28.0 * (1.0 + eps / 3.0))
-        r_minus = r * (1.0 + eps / 14.0)
-        r_plus = r * (3.0 * (1.0 + eps / 14.0) / (3.0 + eps))
-        # Near the float maximum, r * eps or r_minus overflows to inf.
-        check_positive("the simplification budget of this radius", max(mu_minus, r_minus))
-        return cls(mu_minus, mu_plus, r_minus, r_plus)
-
-
 class SimplifiedCopies:
-    """The simplified copies of one dataset's curves, each built on its first
-    use and kept.
+    """Simplified copies of curves, each built on its first use and kept.
 
-    A copy is keyed by (curve id, mu), and the budgets mu depend only on r
-    and eps, so one store serves a whole join at one (r, eps_list). An
-    entry is the curve itself when the simplification drops no vertex, so
-    the copies share the curve's prepared view. Ids are only unique within
-    a dataset: pass a store only curves of the dataset it was made for.
+    A copy is keyed by (curve, mu). Curves hash by identity, so any curves
+    can share a store, whatever their ids. The budgets mu depend only on r
+    and eps, so one store serves a whole join at one (r, eps_list); verify
+    makes one for the call when it is given none. An entry is the curve
+    itself when the simplification drops no vertex, so the copies share the
+    curve's prepared view.
     """
 
     def __init__(self):
-        self._copies: dict[tuple[int, float], Curve] = {}
+        self._copies: dict[tuple[Curve, float], Curve] = {}
 
     def __len__(self) -> int:
         return len(self._copies)
 
     def get(self, c: Curve, mu: float) -> Curve:
-        key = (c.id, mu)
+        key = (c, mu)
         copy = self._copies.get(key)
         if copy is None:
             copy = self._copies[key] = simplify(c, mu)
         return copy
 
 
+@dataclass(frozen=True)
+class _SimplLevel:
+    """One simplification level at a radius r and an epsilon eps: its error
+    budgets and its Far, Near and Unknown outcomes, of stage simpl-<eps>.
+
+    The negative check runs on aggressively simplified curves (budget
+    mu_minus) at the enlarged radius r_minus; the positive check on gently
+    simplified curves (budget mu_plus) at the shrunk radius r_plus. Both
+    checks are sound: the simplification error mu is repaid by the radius
+    adjustment.
+    """
+
+    mu_minus: float
+    mu_plus: float
+    r_minus: float
+    r_plus: float
+    far: VerificationOutcome
+    near: VerificationOutcome
+    unknown: VerificationOutcome
+
+
 # A join reads one (r, eps) level per eps of its eps_list.
 @lru_cache(maxsize=64, typed=True)
-def _simpl_level(r: float, eps: float) -> tuple[SimplVerifyParams, VerificationOutcome,
-                                                VerificationOutcome, VerificationOutcome]:
-    """The budgets of one simplification level, SimplVerifyParams.for_radius(r,
-    eps), and its Far, Near and Unknown outcomes, built once per (r, eps).
-    A bad value raises on every call: the cache stores no exception."""
-    par = SimplVerifyParams.for_radius(r, eps)
+def _simpl_level(r: float, eps: float) -> _SimplLevel:
+    """The level of (r, eps), built once and shared. A bad value raises on
+    every call: the cache stores no exception."""
+    check_positive("eps", eps)
+    check_positive("radius", r)
+    mu_minus = r * eps / 28.0
+    mu_plus = r * eps / (28.0 * (1.0 + eps / 3.0))
+    r_minus = r * (1.0 + eps / 14.0)
+    r_plus = r * (3.0 * (1.0 + eps / 14.0) / (3.0 + eps))
+    # Near the float maximum, r * eps or r_minus overflows to inf.
+    check_positive("the simplification budget of this radius", max(mu_minus, r_minus))
     stage = f"simpl-{eps:g}"
-    return (par, VerificationOutcome(Verdict.FAR, stage),
-            VerificationOutcome(Verdict.NEAR, stage), VerificationOutcome(Verdict.UNKNOWN, stage))
+    return _SimplLevel(mu_minus, mu_plus, r_minus, r_plus,
+                       VerificationOutcome(Verdict.FAR, stage),
+                       VerificationOutcome(Verdict.NEAR, stage),
+                       VerificationOutcome(Verdict.UNKNOWN, stage))
 
 
 def verify_simpl(
     p: Curve, q: Curve, r: float, eps: float, copies: SimplifiedCopies | None = None
 ) -> VerificationOutcome:
     """Decide via simplified copies when the error budget allows; the
-    verdict may be Unknown when neither check succeeds. The copies come
-    from `copies` when given, else each curve is simplified here. The
-    budgets, the stage name (simpl-<eps>) and the outcomes come from the
-    level of (r, eps), built on its first use (_simpl_level)."""
+    verdict may be Unknown when neither check succeeds. Every copy is read
+    from `copies`; without a store, one is made for this call. The budgets,
+    the stage name (simpl-<eps>) and the outcomes come from the level of
+    (r, eps), built on its first use (_simpl_level)."""
     _check_pair(p, q, r)
-    par, far, near, unknown = _simpl_level(r, eps)
-    copy = simplify if copies is None else copies.get
-    coarse = verify_heur(copy(p, par.mu_minus), copy(q, par.mu_minus), par.r_minus)
+    level = _simpl_level(r, eps)
+    if copies is None:
+        copies = SimplifiedCopies()
+    copy = copies.get
+    coarse = verify_heur(copy(p, level.mu_minus), copy(q, level.mu_minus), level.r_minus)
     if coarse.verdict is Verdict.FAR:
-        return far
-    fine = verify_heur(copy(p, par.mu_plus), copy(q, par.mu_plus), par.r_plus)
+        return level.far
+    fine = verify_heur(copy(p, level.mu_plus), copy(q, level.mu_plus), level.r_plus)
     if fine.verdict is Verdict.NEAR:
-        return near
-    return unknown
+        return level.near
+    return level.unknown
 
 
 DEFAULT_EPS_LIST = (10.0, 1.0, 0.1)
@@ -725,11 +711,11 @@ def _verify_tail(p: Curve, q: Curve, r: float,
         return False
 
     for eps in eps_list:
-        par, far, near, _ = _simpl_level(r, eps)
-        if not is_near(par.r_minus):
-            return far
-        if is_near(par.r_plus):
-            return near
+        level = _simpl_level(r, eps)
+        if not is_near(level.r_minus):
+            return level.far
+        if is_near(level.r_plus):
+            return level.near
     return final
 
 
@@ -742,8 +728,11 @@ def verify(
 ) -> VerificationOutcome:
     """The full decision cascade: endpoints, bounding boxes, simplified
     checks from coarsest to finest, then the heuristics with exact
-    fallback. Always returns Near or Far. With `copies`, both curves'
-    simplified copies are read from that store (see SimplifiedCopies).
+    fallback. Always returns Near or Far. Every simplified copy is read
+    from the store `copies` (see SimplifiedCopies); without one, verify
+    makes a store for the call and passes it down, so each copy is built
+    once per call: the copies the tail test below reads are the ones
+    verify_simpl reads.
 
     The first level always runs verify_simpl. A later level whose coarse
     copies (budget mu_minus) are both curves themselves starts a tail: every
@@ -761,11 +750,12 @@ def verify(
     if out.verdict is not Verdict.UNKNOWN:
         return out
     if r > 0:
-        copy = simplify if copies is None else copies.get
+        if copies is None:
+            copies = SimplifiedCopies()
         for k, eps in enumerate(eps_list):
             if k:
-                mu = _simpl_level(r, eps)[0].mu_minus
-                if copy(p, mu) is p and copy(q, mu) is q:
+                mu = _simpl_level(r, eps).mu_minus
+                if copies.get(p, mu) is p and copies.get(q, mu) is q:
                     return _verify_tail(p, q, r, eps_list[k:])
             out = verify_simpl(p, q, r, eps, copies)
             if out.verdict is not Verdict.UNKNOWN:

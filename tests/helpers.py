@@ -657,9 +657,11 @@ def equal_time_walk_dists(p: Curve, q: Curve) -> list[float]:
     traversal order. The merged set is rebuilt and sorted here, and each
     breakpoint's edges and fractions derived from k, with the library's
     arithmetic: u_p = k / mq, i = int(u_p) clamped to the last edge, the
-    point P[i] + (u_p - i) * DP[i], and _dist's sum in its loop form. A
-    single-vertex curve stays put while the other visits its vertices.
-    equal_time_upper is Near exactly when every distance is <= r."""
+    point P[i] + (u_p - i) * DP[i], and _dist's sum in its loop form. The
+    last breakpoint is the distance of the true last vertices, not of
+    P[mp - 1] + 1.0 * DP[mp - 1] and its q twin. A single-vertex curve stays
+    put while the other visits its vertices. equal_time_upper is Near
+    exactly when every distance is <= r."""
     P, Q = p.vertices.tolist(), q.vertices.tolist()
     DP = [[b - a for a, b in zip(s, e)] for s, e in zip(P, P[1:])]
     DQ = [[b - a for a, b in zip(s, e)] for s, e in zip(Q, Q[1:])]
@@ -673,9 +675,9 @@ def equal_time_walk_dists(p: Curve, q: Curve) -> list[float]:
 
     if mp == 0 or mq == 0:
         return [dist_loop(at(P, DP, float(k) if mp else 0.0), at(Q, DQ, float(k) if mq else 0.0))
-                for k in range(max(mp, mq) + 1)]
+                for k in range(max(mp, mq))] + [dist_loop(P[-1], Q[-1])]
     out = []
-    for k in sorted({*range(0, mp * mq + 1, mq), *range(0, mp * mq + 1, mp)}):
+    for k in sorted({*range(0, mp * mq + 1, mq), *range(0, mp * mq + 1, mp)})[:-1]:
         u_p, u_q = k / mq, k / mp
         i, j = int(u_p), int(u_q)
         if i == mp:
@@ -683,7 +685,7 @@ def equal_time_walk_dists(p: Curve, q: Curve) -> list[float]:
         if j == mq:
             j -= 1
         out.append(equal_time_step_dist_loop(P[i], DP[i], Q[j], DQ[j], u_p - i, u_q - j))
-    return out
+    return out + [dist_loop(P[-1], Q[-1])]
 
 
 def bbox_far_arrays(p: Curve, q: Curve, r: float) -> bool:
@@ -705,7 +707,8 @@ def _curve_at(V: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 def equal_time_max_arrays(p: Curve, q: Curve) -> tuple[float, list]:
     """Oracle: the largest pair distance of the uniform-speed traversal over
-    the merged breakpoints, and the breakpoints as (u_p, u_q) positions."""
+    the merged breakpoints, and the breakpoints as (u_p, u_q) positions. The
+    last breakpoint's distance is that of the true last vertices."""
     P, Q = p.vertices, q.vertices
     mp, mq = len(P) - 1, len(Q) - 1
     if mp == 0 and mq == 0:
@@ -723,6 +726,7 @@ def equal_time_max_arrays(p: Curve, q: Curve) -> tuple[float, list]:
         u_p = nums / float(mq)
         u_q = nums / float(mp)
     diff = _curve_at(P, u_p) - _curve_at(Q, u_q)
+    diff[-1] = P[-1] - Q[-1]
     dmax = float(np.sqrt((diff * diff).sum(axis=1)).max())
     return dmax, list(zip(u_p.tolist(), u_q.tolist()))
 

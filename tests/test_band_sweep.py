@@ -15,7 +15,6 @@ from curvejoin import Curve, Verdict, decide_continuous, densify, negative_filte
 from curvejoin import frechet
 from curvejoin.frechet import (
     _ball_window,
-    _minor_pairs,
     _monotone_position_scan,
     discrete_frechet,
     estimate_continuous,
@@ -80,8 +79,7 @@ def assert_same_window(start, end, point, r: float) -> None:
     # prepared view of a curve holding the edge; equal as floats: the lo or
     # hi of 0 may differ in the sign of zero only
     ((delta,), (aa,)) = Curve(0, [start, end])._edges
-    pairs = _minor_pairs(len(start))
-    assert _ball_window(start, delta, aa, point, r * r, pairs) == kernel_window(
+    assert _ball_window(start, delta, aa, point, r * r) == kernel_window(
         start, end, point, r), (
         start, end, point, r)
 

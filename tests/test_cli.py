@@ -339,6 +339,18 @@ class TestVerifyPairCmd:
         assert code == 0
         assert out.startswith("Near")
 
+    def test_two_files_loaded_with_one_id_are_decided_apart(self, tmp_path, capsys):
+        # both trajectories load as curve 0; each keeps its own simplified
+        # copies, so the pair is Far at the coarsest level
+        a = tmp_path / "a.txt"
+        b = tmp_path / "b.txt"
+        a.write_text("0 0\n1 0.01\n2 0\n2.5 1\n3 0\n4 0\n")
+        b.write_text("0 0\n1 1\n2 0\n3 1\n3.5 0\n4 0\n")
+        code, out, _ = run(["verify-pair", "--format", "traj2d", str(a), str(b),
+                            "--radius", "0.5"], capsys)
+        assert code == 0
+        assert out == "Far simpl-10\n"
+
     def test_malformed_file_exits_3(self, tmp_path, capsys):
         a = tmp_path / "a.txt"
         b = tmp_path / "b.txt"

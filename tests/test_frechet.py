@@ -6,7 +6,6 @@ import pytest
 
 from curvejoin import (
     Curve,
-    SimplVerifyParams,
     SimplifiedCopies,
     Verdict,
     VerificationOutcome,
@@ -491,6 +490,47 @@ def _uniform_traversal_sup(p: Curve, q: Curve) -> float:
     return float(np.linalg.norm(pd - qd, axis=1).max())
 
 
+def _last_vertex_far_pairs(rng, n: int) -> list:
+    """2-d pairs of 2-5 vertices, q near p but for its last vertex, so the
+    last vertices are mostly the farthest breakpoint; each pair with the
+    last vertices' distance x."""
+    out = []
+    for _ in range(n):
+        m, k = (int(v) for v in rng.integers(2, 6, size=2))
+        p = Curve(0, np.cumsum(rng.normal(size=(m, 2)), axis=0))
+        V = p.vertices[np.linspace(0, m - 1, k).round().astype(int)] + rng.normal(size=(k, 2)) * 0.1
+        V[-1] += rng.normal(size=2) * 2.0
+        q = Curve(1, V)
+        out.append((p, q, _dist(p._points[-1], q._points[-1])))
+    return out
+
+
+def _single_vertex_pairs(rng, n: int) -> list:
+    """A single vertex against a 2-5 vertex 2-d curve moving away from it,
+    either way round, each with the farthest vertex distance x."""
+    out = []
+    for _ in range(n):
+        a = Curve(0, rng.normal(size=(1, 2)))
+        b = Curve(1, a.vertices + np.cumsum(np.abs(rng.normal(size=(int(rng.integers(2, 6)), 2))),
+                                             axis=0))
+        p, q = (a, b) if rng.random() < 0.5 else (b, a)
+        out.append((p, q, max(_dist(u, v) for u in p._points for v in q._points)))
+    return out
+
+
+class TestTrueLastVertices:
+    """The equal-time walk reads both curves' last vertices themselves, not
+    P[mp - 1] + 1.0 * DP[mp - 1], which can land an ulp nearer: one ulp
+    below the distance the traversal must exceed, no step answers Near."""
+
+    @pytest.mark.parametrize("make", [_last_vertex_far_pairs, _single_vertex_pairs])
+    def test_one_ulp_below_the_farthest_vertex_is_not_near(self, make):
+        for p, q, x in make(np.random.default_rng(57), 6000):
+            r = math.nextafter(x, 0.0)
+            assert equal_time_upper(p, q, r).verdict is Verdict.UNKNOWN, (p, q, x)
+            assert verify_heur(p, q, r).verdict is Verdict.FAR, (p, q, x)
+
+
 class TestGreedyUpper:
     def test_identical_curves_walk_diagonal(self):
         rng = np.random.default_rng(45)
@@ -608,17 +648,21 @@ class TestVerifyHeur:
 
 class TestVerifySimpl:
     def test_parameter_values(self):
-        par = SimplVerifyParams.for_radius(1.0, 1.0)
+        par = frechet._simpl_level(1.0, 1.0)
         assert par.mu_minus == pytest.approx(1.0 / 28.0)
         assert par.mu_plus == pytest.approx(3.0 / 112.0)
         assert par.r_minus == pytest.approx(15.0 / 14.0)
         assert par.r_plus == pytest.approx(45.0 / 56.0)
+        # the level is one cached value that also holds its three outcomes
+        assert (par.far, par.near, par.unknown) == tuple(
+            VerificationOutcome(v, "simpl-1") for v in (Verdict.FAR, Verdict.NEAR, Verdict.UNKNOWN))
+        assert frechet._simpl_level(1.0, 1.0) is par
 
     def test_overflowing_budget_rejected(self):
         # r * eps overflows to inf; a finite radius of that size is refused
         # rather than checked with an infinite simplification error.
         with pytest.raises(ValueError, match="budget"):
-            SimplVerifyParams.for_radius(1e308, 10.0)
+            frechet._simpl_level(1e308, 10.0)
         c = curve1(0, [0.0, 1.0, 0.0])
         with pytest.raises(ValueError, match="budget"):
             verify(c, c, 1e308)
@@ -628,7 +672,7 @@ class TestVerifySimpl:
         # lands exactly on r; Near check stays at or below r
         for r in (0.3, 1.0, 7.5):
             for eps in (10.0, 1.0, 0.1):
-                par = SimplVerifyParams.for_radius(r, eps)
+                par = frechet._simpl_level(r, eps)
                 assert par.r_minus - 2 * par.mu_minus == pytest.approx(r, rel=1e-12)
                 assert par.r_plus + 2 * par.mu_plus <= r * (1 + 1e-12)
 
@@ -760,7 +804,7 @@ def _tail_levels(p: Curve, q: Curve, r: float, eps_list) -> int:
     whose coarse copies are both curves themselves to the end of eps_list;
     0 if no level starts a tail."""
     for k in range(1, len(eps_list)):
-        mu = SimplVerifyParams.for_radius(r, eps_list[k]).mu_minus
+        mu = frechet._simpl_level(r, eps_list[k]).mu_minus
         if simplify(p, mu) is p and simplify(q, mu) is q:
             return len(eps_list) - k
     return 0
@@ -866,6 +910,52 @@ class TestVerifyTail:
         assert tails and fewer
 
 
+class TestCopyStore:
+    """verify and verify_simpl read every simplified copy through one store
+    keyed by the curve itself, so curves that share an id share no copy,
+    and verify without a store makes one for the call."""
+
+    SAME_ID = ([[0, 0], [1, .01], [2, 0], [2.5, 1], [3, 0], [4, 0]],
+               [[0, 0], [1, 1], [2, 0], [3, 1], [3.5, 0], [4, 0]])
+
+    def test_two_curves_with_one_id_share_a_store(self):
+        p, q = (curve(0, v) for v in self.SAME_ID)
+        want = verify(p, q, 0.5)
+        assert (want.verdict, want.stage) == (Verdict.FAR, "simpl-10")
+        assert not decide_continuous(p, q, 0.5)
+        assert verify(p, q, 0.5, copies=SimplifiedCopies()) == want
+        assert verify_simpl(p, q, 0.5, 10.0, SimplifiedCopies()) == want
+
+    def test_curves_of_one_id_through_one_store_decide_as_without_it(self):
+        data = walk_families(np.random.default_rng(61), 4, 2)
+        curves = [Curve(0, c.vertices) for c in data]
+        store = SimplifiedCopies()
+        for p in curves:
+            for q in curves:
+                if p is not q:
+                    assert verify(p, q, 1.0, copies=store) == verify(p, q, 1.0)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_without_a_store_no_copy_is_built_twice(self, monkeypatch, d):
+        # the tail test's coarse copies are the ones verify_simpl reads, so
+        # verify never simplifies more often than the level-by-level cascade
+        data = walk_families(np.random.default_rng(d), 20, d, m=12)
+        counts = count_cascade_calls(monkeypatch)
+        fewer = 0
+        for f in range(20):
+            fam = [data[5 * f + a] for a in range(5)]
+            for a in range(5):
+                for b in range(a + 1, 5):
+                    counts.clear()
+                    new = verify(fam[a], fam[b], 1.0)
+                    got = counts["simplify"]
+                    counts.clear()
+                    assert new == verify_ladder(fam[a], fam[b], 1.0)
+                    assert got <= counts["simplify"], (f, a, b)
+                    fewer += got < counts["simplify"]
+        assert fewer
+
+
 class TestMetricProperties:
     def test_discrete_triangle_inequality(self):
         rng = np.random.default_rng(99)
@@ -908,7 +998,7 @@ class TestMetricProperties:
             diff = p.vertices[:, None, :] - q.vertices[None, :, :]
             base = np.sqrt((diff * diff).sum(axis=2)).ravel().tolist()
             edges = {x for b in base + [discrete_frechet(p, q)] for x in ulps(b)}
-            levels = [SimplVerifyParams.for_radius(x, eps) for x in edges if x > 0
+            levels = [frechet._simpl_level(x, eps) for x in edges if x > 0
                       for eps in DEFAULT_EPS_LIST]
             radii = sorted(edges.union(*((par.r_minus, par.r_plus) for par in levels)))
             for k, far in enumerate(steps):
@@ -956,7 +1046,7 @@ class TestWorkedExamples:
 
     def test_simplification_budgets_worked_example(self):
         # r = 1, eps = 10
-        params = SimplVerifyParams.for_radius(1.0, 10.0)
+        params = frechet._simpl_level(1.0, 10.0)
         assert params.mu_minus == pytest.approx(10.0 / 28.0, abs=1e-15)
         assert params.r_minus == pytest.approx(12.0 / 7.0, abs=1e-15)
         assert params.mu_plus == pytest.approx(15.0 / 182.0, abs=1e-15)

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from curvejoin import Curve, Verdict, equal_time_upper
 from curvejoin.curves import _dist
-from curvejoin.frechet import _ball_window, _minor_pairs
+from curvejoin.frechet import _ball_window
 
 from helpers import (
     ball_window_loop,
@@ -48,7 +48,7 @@ def edge_terms(start, end) -> tuple[list, float]:
 def assert_same_window(start, end, point, r: float) -> None:
     delta, aa = edge_terms(start, end)
     rr = r * r
-    got = _ball_window(start, delta, aa, point, rr, _minor_pairs(len(start)))
+    got = _ball_window(start, delta, aa, point, rr)
     want = ball_window_loop(start, delta, aa, point, rr)
     assert bits(*got) == bits(*want), (start, end, point, r, got, want)
 
